@@ -20,6 +20,7 @@
 
 use crate::bitstream::BitVec;
 use openserdes_flow::ir::Design;
+use openserdes_telemetry as telemetry;
 
 /// CDR configuration (the paper's scan bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -337,7 +338,46 @@ pub fn oversample_bits(
     oversample_bits_packed(&BitVec::from_bools(bits), n, phase_frac, rj_sigma_ui, seed).to_bools()
 }
 
+/// Largest jitter reach (UI) the word-at-a-time path of
+/// [`oversample_bits_packed`] handles; beyond it the exact per-sample
+/// loop runs.
+const MAX_FAST_REACH_UI: f64 = 0.45;
+
+/// Shortest stream the word-at-a-time path takes: its first and last
+/// two UIs always run the exact per-sample formula.
+const MIN_FAST_BITS: usize = 8;
+
+/// Absolute slack (UI) added to every jitter reach to cover the
+/// rounding of the Box–Muller and sample-time arithmetic.
+pub(crate) const REACH_SLACK_UI: f64 = 1e-9;
+
+/// Largest |z| a Box–Muller draw can produce when `u1` is drawn from
+/// `f64::EPSILON..1.0`: `sqrt(-2 ln ε)` ≈ 8.49 (|cos| ≤ 1).
+pub(crate) fn gauss_reach() -> f64 {
+    (-2.0 * f64::EPSILON.ln()).sqrt()
+}
+
+/// One standard-normal value from two uniforms (Box–Muller).
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
 /// Packed fast path of [`oversample_bits`]: same stream, bit for bit.
+///
+/// The jitter of one edge is bounded: `u1` is drawn from
+/// `f64::EPSILON..1.0`, so no edge moves further than
+/// `R = rj_sigma_ui · sqrt(-2 ln ε)`. The `n` sample offsets are
+/// classified once per call. A *far* sample sits more than `R` (plus
+/// rounding slack) from every UI edge, so its governing bit is fixed and
+/// comes from a table indexed by the UI's 3-bit neighbourhood. A *near*
+/// sample can only be handed across the edge it sits on, so it needs that
+/// edge's jitter only when the two bits either side differ, and then only
+/// its magnitude when the sign of `cos(2π·u2)` does not already decide
+/// the sample; only those edges pay for `ln`/`sqrt`/`cos`. Each UI is
+/// then pushed as one word. Every uniform is still drawn, in the exact
+/// loop's order, so the stream is bit-identical to it. The exact loop
+/// runs instead for non-finite inputs, `|phase_frac| ≥ 1`, `n` outside
+/// `1..=64`, streams shorter than 8 bits, or a reach of 0.45 UI or more.
 pub fn oversample_bits_packed(
     bits: &BitVec,
     n: usize,
@@ -345,43 +385,199 @@ pub fn oversample_bits_packed(
     rj_sigma_ui: f64,
     seed: u64,
 ) -> BitVec {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jitter: Vec<f64> = (0..=bits.len())
-        .map(|_| {
-            if rj_sigma_ui <= 0.0 {
-                0.0
-            } else {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen::<f64>();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * rj_sigma_ui
+    let len = bits.len();
+    let reach = if rj_sigma_ui > 0.0 {
+        rj_sigma_ui * gauss_reach()
+    } else {
+        0.0
+    };
+    // Sample times `i + offset` are formed in f64: a few ulps of the
+    // latest one widen the band around each edge.
+    let guard = reach + REACH_SLACK_UI + 4.0 * (len as f64 + 2.0) * f64::EPSILON;
+    if !rj_sigma_ui.is_finite()
+        || !phase_frac.is_finite()
+        || phase_frac.abs() >= 1.0
+        || n == 0
+        || n > 64
+        || len < MIN_FAST_BITS
+        || guard >= MAX_FAST_REACH_UI
+    {
+        telemetry::counter("cdr.oversample_exact_fallbacks", 1);
+        return oversample_exact(bits, n, phase_frac, rj_sigma_ui, seed);
+    }
+
+    // Far samples: for each neighbourhood (bit 0 = bits[i-1], bit 1 =
+    // bits[i], bit 2 = bits[i+1]) the word they contribute. Near
+    // samples: (sample index, offset into the UI, m + 1) for the edge
+    // i + m they sit on.
+    let mut far_words = [0u64; 8];
+    let mut near = Vec::new();
+    for j in 0..n {
+        let offset = (j as f64 + 0.5) / n as f64;
+        let x = offset + phase_frac;
+        let m = x.round();
+        if (x - m).abs() > guard {
+            let k = (x.floor() + 1.0) as usize;
+            for (nb, w) in far_words.iter_mut().enumerate() {
+                *w |= ((nb >> k) as u64 & 1) << j;
             }
+        } else {
+            near.push((j, offset, (m + 1.0) as u32));
+        }
+    }
+    // An edge's jitter matters only between differing bits, and only
+    // where a near sample sits on it. The ends run `sample_exact` and
+    // get every such edge. In between, the sign alone settles a sample
+    // when the edge moves away from it: a late edge (jitter ≥ 0) leaves
+    // a sample before it (t < e) on the old bit, an early one (≤ 0)
+    // gives a sample on or after it (t ≥ e) the new bit. The 0.0 stored
+    // for an edge that is not evaluated gives the same answers.
+    let jitter = edge_jitter(bits, rj_sigma_ui, seed, |e, u2| {
+        if near.is_empty() || e == 0 || e >= len || bits.get(e - 1) == bits.get(e) {
+            return false;
+        }
+        if e <= 4 || e + 4 >= len {
+            return true;
+        }
+        let late = cos_sign(u2);
+        near.iter().any(|&(_, offset, m1)| {
+            let t = (e + 1 - m1 as usize) as f64 + offset + phase_frac;
+            late != Some(t < e as f64)
         })
-        .collect();
+    });
+
+    let exact_word = |i: usize| {
+        (0..n).fold(0u64, |w, j| {
+            w | (sample_exact(bits, &jitter, n, phase_frac, i, j) as u64) << j
+        })
+    };
+    let mut out = BitVec::with_capacity(len * n);
+    out.push_word(exact_word(0), n);
+    out.push_word(exact_word(1), n);
+    let words = bits.words();
+    let bit = |k: usize| (words[k / 64] >> (k % 64) & 1) as u32;
+    // bits[i-2..=i+2] of the current UI, bits[i-2] in bit 0.
+    let mut nb = (0..4).fold(0u32, |w, b| w | bit(b) << (b + 1));
+    for i in 2..len - 2 {
+        nb = nb >> 1 | bit(i + 2) << 4;
+        let mut word = far_words[(nb >> 1 & 7) as usize];
+        for &(j, offset, m1) in &near {
+            // The edge's bits are bits[e-1] (bit m+1 of `nb`) and
+            // bits[e] (bit m+2); equal bits make the jitter moot.
+            let next_bit = nb >> (m1 + 1) & 1;
+            let same = (nb >> m1 & 1) == next_bit;
+            // `sample_exact` with its branches resolved: the sample time
+            // is within `guard` of edge e, so floor(t) is e or e - 1 and
+            // only jitter[e] can move the sample across. Evaluated
+            // without branches, since both outcomes are common.
+            let e = i + m1 as usize - 1;
+            let t = i as f64 + offset + phase_frac;
+            let edge = e as f64;
+            let past = t >= edge;
+            let crossed =
+                (past & (t - edge >= jitter[e])) | (!past & (t - (edge - 1.0) >= 1.0 + jitter[e]));
+            word |= u64::from(next_bit ^ u32::from(!(same | crossed))) << j;
+        }
+        out.push_word(word, n);
+    }
+    out.push_word(exact_word(len - 2), n);
+    out.push_word(exact_word(len - 1), n);
+    out
+}
+
+/// The exact oversampler: every sample of every UI through
+/// [`sample_exact`], with every edge's jitter computed. The fallback of
+/// [`oversample_bits_packed`] and its test oracle.
+fn oversample_exact(
+    bits: &BitVec,
+    n: usize,
+    phase_frac: f64,
+    rj_sigma_ui: f64,
+    seed: u64,
+) -> BitVec {
+    let jitter = edge_jitter(bits, rj_sigma_ui, seed, |_, _| true);
     let len = bits.len();
     let mut out = BitVec::with_capacity(len * n);
     for i in 0..len {
         for j in 0..n {
-            // Sample time in UI units, then locate the governing bit.
-            let t = i as f64 + (j as f64 + 0.5) / n as f64 + phase_frac;
-            let idx = t.floor() as isize;
-            let frac = t - idx as f64;
-            let idx = idx.clamp(0, len as isize - 1) as usize;
-            // The edge at the start of bit `idx` moves by jitter[idx],
-            // the one at its end by jitter[idx + 1]; either can hand the
-            // sample to a neighbouring bit.
-            let bit = if idx > 0 && frac < jitter[idx] {
-                bits.get(idx - 1)
-            } else if idx + 1 < len && frac >= 1.0 + jitter[idx + 1] {
-                bits.get(idx + 1)
-            } else {
-                bits.get(idx)
-            };
-            out.push(bit);
+            out.push(sample_exact(bits, &jitter, n, phase_frac, i, j));
         }
     }
     out
+}
+
+/// The sign of `cos(2π·u2)`, and so of a jitter drawn with it, when
+/// `u2` is clear of the zeros at 1/4 and 3/4: `Some(true)` for positive
+/// (a late edge), `Some(false)` for negative.
+fn cos_sign(u2: f64) -> Option<bool> {
+    if !(0.24..=0.76).contains(&u2) {
+        Some(true)
+    } else if u2 > 0.26 && u2 < 0.74 {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Seeded per-edge jitter (UI) for the `len + 1` edges of `bits`: edge
+/// `e` starts bit `e`. The uniforms `u1`, `u2` of every edge are drawn
+/// in order whenever `rj_sigma_ui > 0`; the Box–Muller transform runs
+/// only for edges where `evaluate(e, u2)` holds, the rest read 0.0.
+fn edge_jitter(
+    bits: &BitVec,
+    rj_sigma_ui: f64,
+    seed: u64,
+    evaluate: impl Fn(usize, f64) -> bool,
+) -> Vec<f64> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut evals = 0u64;
+    let jitter = (0..=bits.len())
+        .map(|e| {
+            if rj_sigma_ui <= 0.0 {
+                return 0.0;
+            }
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen::<f64>();
+            if !evaluate(e, u2) {
+                return 0.0;
+            }
+            evals += 1;
+            box_muller(u1, u2) * rj_sigma_ui
+        })
+        .collect();
+    telemetry::counter("cdr.jitter_evals", evals);
+    jitter
+}
+
+/// Sample `j` of UI `i`, exactly: the sample time, the bit it falls in,
+/// and the jittered edges either side of that bit.
+#[inline]
+fn sample_exact(
+    bits: &BitVec,
+    jitter: &[f64],
+    n: usize,
+    phase_frac: f64,
+    i: usize,
+    j: usize,
+) -> bool {
+    let len = bits.len();
+    // Sample time in UI units, then locate the governing bit.
+    let t = i as f64 + (j as f64 + 0.5) / n as f64 + phase_frac;
+    let idx = t.floor() as isize;
+    let frac = t - idx as f64;
+    let idx = idx.clamp(0, len as isize - 1) as usize;
+    // The edge at the start of bit `idx` moves by jitter[idx], the one
+    // at its end by jitter[idx + 1]; either can hand the sample to a
+    // neighbouring bit.
+    if idx > 0 && frac < jitter[idx] {
+        bits.get(idx - 1)
+    } else if idx + 1 < len && frac >= 1.0 + jitter[idx + 1] {
+        bits.get(idx + 1)
+    } else {
+        bits.get(idx)
+    }
 }
 
 /// Emits the CDR decision datapath as synthesizable RTL (for the area
@@ -779,9 +975,59 @@ mod tests {
         assert_eq!(&s[4..8], &[false; 4]);
     }
 
+    #[test]
+    fn word_path_matches_exact_loop_on_a_grid() {
+        // Phases that put samples exactly on an edge (0.3 at n = 5),
+        // negative and near-wrapping phases, jitter from none to past
+        // the fast path's reach, lengths around the 64-bit word edges.
+        let bits = prbs_bits(300);
+        for n in (1..=8).chain([9, 16, 63, 64]) {
+            for phase in [-0.95, -0.5, -0.3, 0.0, 0.1, 0.3, 0.5, 0.7, 0.99] {
+                for rj in [0.0, 1e-12, 0.003, 0.04, 0.06, -0.1, f64::NAN] {
+                    for len in [8, 9, 63, 64, 65, 129, 300] {
+                        let bv = BitVec::from_bools(&bits[..len]);
+                        let fast = oversample_bits_packed(&bv, n, phase, rj, 17);
+                        let exact = oversample_exact(&bv, n, phase, rj, 17);
+                        assert_eq!(fast, exact, "n {n} phase {phase} rj {rj} len {len}");
+                    }
+                }
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The word-at-a-time oversampler is the exact per-sample
+            /// loop, bit for bit, whichever path the bound picks.
+            #[test]
+            fn word_path_is_bit_identical_to_exact_loop(
+                n in 1usize..9,
+                phase_pick in 0usize..4,
+                phase_raw in -0.999f64..0.999,
+                rj in prop::sample::select(vec![
+                    0.0, 1e-12, 0.002, 0.01, 0.03, 0.05, 0.06, 0.3, -0.02, f64::NAN,
+                ]),
+                len_pick in 0usize..2,
+                len_raw in prop::sample::select(vec![
+                    0usize, 1, 2, 3, 5, 7, 8, 9, 62, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193,
+                ]),
+                len_any in 0usize..260,
+                data in prop::collection::vec(any::<bool>(), 260),
+                seed in any::<u64>(),
+            ) {
+                let phase = [0.0, 0.5, phase_raw, -phase_raw.abs()][phase_pick];
+                let len = if len_pick == 0 { len_raw } else { len_any };
+                let bits = BitVec::from_bools(&data[..len]);
+                let fast = oversample_bits_packed(&bits, n, phase, rj, seed);
+                let exact = oversample_exact(&bits, n, phase, rj, seed);
+                prop_assert_eq!(fast, exact, "n {} phase {} rj {} len {}", n, phase, rj, len);
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]

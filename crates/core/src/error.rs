@@ -22,6 +22,13 @@ pub enum LinkError {
         /// Unit intervals processed before giving up.
         uis: u64,
     },
+    /// An input was out of its valid range and the run was refused.
+    InvalidInput {
+        /// The offending field, as the caller named it.
+        field: &'static str,
+        /// Why the value was refused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for LinkError {
@@ -33,6 +40,7 @@ impl fmt::Display for LinkError {
             LinkError::CdrUnlocked { uis } => {
                 write!(f, "cdr failed to lock within {uis} unit intervals")
             }
+            LinkError::InvalidInput { field, reason } => write!(f, "invalid `{field}`: {reason}"),
         }
     }
 }
@@ -43,7 +51,7 @@ impl StdError for LinkError {
             LinkError::Solver(e) => Some(e),
             LinkError::Netlist(e) => Some(e),
             LinkError::Flow(e) => Some(e),
-            LinkError::CdrUnlocked { .. } => None,
+            LinkError::CdrUnlocked { .. } | LinkError::InvalidInput { .. } => None,
         }
     }
 }
@@ -112,6 +120,14 @@ pub enum Error {
     /// A serialized job ([`crate::job::Request`] / wire frame) was
     /// malformed: bad JSON, an unknown kind, or an out-of-range field.
     Parse(String),
+    /// An input was out of its valid range and the job was refused
+    /// before any work ran.
+    InvalidInput {
+        /// The offending field, as the caller named it.
+        field: &'static str,
+        /// Why the value was refused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -123,6 +139,7 @@ impl fmt::Display for Error {
             Error::Netlist(e) => write!(f, "netlist: {e}"),
             Error::Fault(e) => write!(f, "fault: {e}"),
             Error::Parse(msg) => write!(f, "parse: {msg}"),
+            Error::InvalidInput { field, reason } => write!(f, "invalid `{field}`: {reason}"),
         }
     }
 }
@@ -134,7 +151,7 @@ impl StdError for Error {
             Error::Flow(e) => Some(e),
             Error::Solver(e) => Some(e),
             Error::Netlist(e) => Some(e),
-            Error::Fault(_) | Error::Parse(_) => None,
+            Error::Fault(_) | Error::Parse(_) | Error::InvalidInput { .. } => None,
         }
     }
 }
@@ -153,6 +170,7 @@ impl From<LinkError> for Error {
             LinkError::Solver(s) => Error::Solver(s),
             LinkError::Netlist(n) => Error::Netlist(n),
             LinkError::Flow(fl) => Error::Flow(fl),
+            LinkError::InvalidInput { field, reason } => Error::InvalidInput { field, reason },
             other => Error::Link(other),
         }
     }

@@ -255,6 +255,29 @@ impl SerdesLink {
     }
 }
 
+/// The statistical PHY both link runners share: PHY statistics from the
+/// analog models at `config`'s operating point, then the serialized
+/// `bits` oversampled with a deliberate phase offset (the reference
+/// clock is not aligned to the data — the CDR's whole job), edge jitter
+/// and per-sample noise flips.
+fn phy_stage(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitVec, LinkError> {
+    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
+    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
+    let ui = 1.0 / config.data_rate.value();
+    let jitter_frac = config.channel.rj_sigma.value() / ui;
+    let flip_prob = beh.flip_probability_jitter_eroded();
+
+    let n = config.cdr.oversampling;
+    let mut stream = oversample_bits_packed(bits, n, 0.3, jitter_frac, seed ^ 0x0511);
+    let mut rng = StdRng::seed_from_u64(seed);
+    for s in 0..stream.len() {
+        if rng.gen::<f64>() < flip_prob {
+            stream.toggle(s);
+        }
+    }
+    Ok(stream)
+}
+
 /// The fast-path link engine: serializer → statistical PHY → CDR →
 /// deserializer → scoring, at `config`'s operating point. This is the
 /// canonical implementation behind both the deprecated
@@ -280,26 +303,9 @@ pub fn run_frames(
     drop(t_ser_span);
     let serialize_time = t_start.elapsed();
 
-    // PHY statistics from the analog models at this operating point.
     let t_phy = Instant::now();
     let phy_span = telemetry::span("link.phy");
-    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
-    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
-    let ui = 1.0 / config.data_rate.value();
-    let jitter_frac = config.channel.rj_sigma.value() / ui;
-    let flip_prob = beh.flip_probability_jitter_eroded();
-
-    // Oversample with a deliberate phase offset (the reference clock
-    // is not aligned to the data — the CDR's whole job), plus edge
-    // jitter and per-sample noise flips.
-    let n = config.cdr.oversampling;
-    let mut stream = oversample_bits_packed(&bits, n, 0.3, jitter_frac, seed ^ 0x0511);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for s in 0..stream.len() {
-        if rng.gen::<f64>() < flip_prob {
-            stream.toggle(s);
-        }
-    }
+    let stream = phy_stage(config, &bits, seed)?;
     drop(phy_span);
     let phy_time = t_phy.elapsed();
 
@@ -511,24 +517,11 @@ pub fn run_frames_with_faults(
     drop(t_ser_span);
     let serialize_time = t_start.elapsed();
 
-    // PHY statistics from the analog models — identical to the
-    // fault-free path, including the RNG stream the noise flips draw.
+    // The PHY stage is the fault-free path's, RNG streams included.
     let t_phy = Instant::now();
     let phy_span = telemetry::span("link.phy");
-    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
-    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
-    let ui = 1.0 / config.data_rate.value();
-    let jitter_frac = config.channel.rj_sigma.value() / ui;
-    let flip_prob = beh.flip_probability_jitter_eroded();
-
+    let mut stream = phy_stage(config, &bits, seed)?;
     let n = config.cdr.oversampling;
-    let mut stream = oversample_bits_packed(&bits, n, 0.3, jitter_frac, seed ^ 0x0511);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for s in 0..stream.len() {
-        if rng.gen::<f64>() < flip_prob {
-            stream.toggle(s);
-        }
-    }
 
     // Fault injection on the sampled stream: clock faults first (they
     // move *when* everything else is seen), then amplitude faults at

@@ -14,6 +14,7 @@
 
 use crate::ber::BerTest;
 use crate::bitstream::BitVec;
+use crate::cdr::{box_muller, gauss_reach, REACH_SLACK_UI};
 use crate::error::{Error, FaultInfo, LinkError};
 use crate::link::LinkConfig;
 use openserdes_pdk::corner::Pvt;
@@ -170,6 +171,15 @@ fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubMo
     use crate::prbs::{PrbsGenerator, PrbsOrder};
     use openserdes_phy::{AnalogLink, BehavioralLink};
 
+    // Each phase scores bits 1.. against their predecessor: fewer than
+    // two bits leave nothing to measure.
+    if nbits < 2 {
+        return Err(LinkError::InvalidInput {
+            field: "bits",
+            reason: format!("a bathtub needs at least 2 bits per phase, got {nbits}"),
+        });
+    }
+
     let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
     let behavioural = BehavioralLink::from_analog(&analog, config.data_rate)?;
     let ui = 1.0 / config.data_rate.value();
@@ -189,9 +199,32 @@ fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubMo
     Ok((bits, model))
 }
 
+/// Whether a jittered edge can reach `phase`: come within `blur_ui / 2`
+/// of it or cross it. The edges move at most
+/// `R = |rj|·sqrt(-2 ln ε) + |dj|` UI (plus rounding slack), so the
+/// answer is `(leading, trailing)` = (`phase − R ≤ blur/2`,
+/// `phase + R ≥ 1 − blur/2`). Both are true for non-finite models.
+fn edge_reach(model: &BathtubModel, phase: f64) -> (bool, bool) {
+    let reach = model.rj_ui.abs() * gauss_reach() + model.dj_ui.abs() + REACH_SLACK_UI;
+    if !reach.is_finite() {
+        return (true, true);
+    }
+    let half_blur = model.blur_ui / 2.0;
+    (phase - reach <= half_blur, phase + reach >= 1.0 - half_blur)
+}
+
 /// One bathtub phase. The RNG is derived from `seed` and the phase index
 /// alone ([`parallel::derive_seed`]), so any execution order — or a
 /// parallel fan-out — produces the identical point.
+///
+/// Only an edge that exists (the bits either side differ) and that
+/// jitter can move near the phase ([`edge_reach`]) can change a
+/// decision. On a *safe* phase neither edge of the UI is in reach, so
+/// every decision is the bit itself and only the noise flips count. On
+/// the other (*exact*) phases the jitter and the edge checks run only
+/// for bits with a reachable transition. Every uniform is still drawn in
+/// the per-bit order, so the point is bit-identical to evaluating the
+/// full model on every bit.
 fn bathtub_point(
     bits: &BitVec,
     model: &BathtubModel,
@@ -206,31 +239,47 @@ fn bathtub_point(
     telemetry::counter("sweep.eye_phases", 1);
     let phase = (k as f64 + 0.5) / phases as f64;
     let mut rng = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
+    let half_blur = model.blur_ui / 2.0;
     let mut errors = 0u64;
-    for i in 1..bits.len() {
-        // The edge ahead of bit i sits at offset `jitter` into the UI.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        let gauss = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let jitter = model.rj_ui * gauss
-            + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
-        // Distance to the nearest data edge (leading edge of this UI
-        // or trailing edge into the next one), where an edge exists.
-        let lead = (bits.get(i - 1) != bits.get(i)).then_some(phase - jitter);
-        let trail = (i + 1 < bits.len() && bits.get(i) != bits.get(i + 1))
-            .then_some(phase - (1.0 + jitter));
-        let in_blur = |d: f64| d.abs() < model.blur_ui / 2.0;
-        let sampled = match (lead, trail) {
-            (Some(d), _) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i - 1)),
-            (_, Some(d)) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i + 1)),
-            (Some(d), _) if d < 0.0 => Some(bits.get(i - 1)),
-            (_, Some(d)) if d > 0.0 => Some(bits.get(i + 1)),
-            _ => Some(bits.get(i)),
-        };
-        let sampled = sampled.unwrap_or_else(|| bits.get(i));
-        let noise_flip = rng.gen::<f64>() < model.flip;
-        if (sampled != bits.get(i)) ^ noise_flip {
-            errors += 1;
+    let (lead_reach, trail_reach) = edge_reach(model, phase);
+    if !lead_reach && !trail_reach {
+        for _ in 1..bits.len() {
+            let _u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let _u2: f64 = rng.gen::<f64>();
+            errors += u64::from(rng.gen::<f64>() < model.flip);
+        }
+    } else {
+        telemetry::counter("sweep.bathtub_exact_phases", 1);
+        for i in 1..bits.len() {
+            // The edge ahead of bit i sits at offset `jitter` into the UI.
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen::<f64>();
+            let has_lead = bits.get(i - 1) != bits.get(i);
+            let has_trail = i + 1 < bits.len() && bits.get(i) != bits.get(i + 1);
+            let sampled = if (has_lead && lead_reach) || (has_trail && trail_reach) {
+                let jitter = model.rj_ui * box_muller(u1, u2)
+                    + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
+                // Distance to the nearest data edge (leading edge of
+                // this UI or trailing edge into the next one), where an
+                // edge exists.
+                let lead = has_lead.then_some(phase - jitter);
+                let trail = has_trail.then_some(phase - (1.0 + jitter));
+                let in_blur = |d: f64| d.abs() < half_blur;
+                let sampled = match (lead, trail) {
+                    (Some(d), _) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i - 1)),
+                    (_, Some(d)) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i + 1)),
+                    (Some(d), _) if d < 0.0 => Some(bits.get(i - 1)),
+                    (_, Some(d)) if d > 0.0 => Some(bits.get(i + 1)),
+                    _ => Some(bits.get(i)),
+                };
+                sampled.unwrap_or_else(|| bits.get(i))
+            } else {
+                bits.get(i)
+            };
+            let noise_flip = rng.gen::<f64>() < model.flip;
+            if (sampled != bits.get(i)) ^ noise_flip {
+                errors += 1;
+            }
         }
     }
     telemetry::record_value("sweep.phase_errors", errors);
@@ -431,7 +480,9 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the front-end characterization.
+    /// [`LinkError::InvalidInput`] (field `bits`) when fewer than 2 bits
+    /// per phase are configured; otherwise propagates solver failures
+    /// from the front-end characterization.
     pub fn bathtub(&self, config: &LinkConfig) -> Result<Vec<BathtubPoint>, LinkError> {
         parallel::bathtub_par_impl(config, self.nbits, self.phases, self.seed, self.threads)
     }
@@ -498,8 +549,10 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Propagates solver failures from the *shared* front-end
-    /// characterization — without it no phase is meaningful.
+    /// [`LinkError::InvalidInput`] (field `bits`) when fewer than 2 bits
+    /// per phase are configured; otherwise propagates solver failures
+    /// from the *shared* front-end characterization — without it no
+    /// phase is meaningful.
     pub fn try_bathtub(
         &self,
         config: &LinkConfig,
@@ -722,6 +775,132 @@ mod tests {
             let vals: Vec<_> = out.values().copied().collect();
             assert_eq!(vals, plain, "threads = {threads}");
         }
+    }
+
+    /// The per-bit bathtub model with nothing skipped: Box–Muller and
+    /// both edge checks on every bit. The oracle for [`bathtub_point`].
+    fn bathtub_point_exact(
+        bits: &BitVec,
+        model: &BathtubModel,
+        k: usize,
+        phases: usize,
+        seed: u64,
+    ) -> BathtubPoint {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let phase = (k as f64 + 0.5) / phases as f64;
+        let mut rng = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
+        let mut errors = 0u64;
+        for i in 1..bits.len() {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen::<f64>();
+            let gauss = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let jitter = model.rj_ui * gauss
+                + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
+            let lead = (bits.get(i - 1) != bits.get(i)).then_some(phase - jitter);
+            let trail = (i + 1 < bits.len() && bits.get(i) != bits.get(i + 1))
+                .then_some(phase - (1.0 + jitter));
+            let in_blur = |d: f64| d.abs() < model.blur_ui / 2.0;
+            let sampled = match (lead, trail) {
+                (Some(d), _) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i - 1)),
+                (_, Some(d)) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i + 1)),
+                (Some(d), _) if d < 0.0 => Some(bits.get(i - 1)),
+                (_, Some(d)) if d > 0.0 => Some(bits.get(i + 1)),
+                _ => Some(bits.get(i)),
+            };
+            let sampled = sampled.unwrap_or_else(|| bits.get(i));
+            let noise_flip = rng.gen::<f64>() < model.flip;
+            if (sampled != bits.get(i)) ^ noise_flip {
+                errors += 1;
+            }
+        }
+        BathtubPoint {
+            phase_ui: phase,
+            ber: errors as f64 / (bits.len() - 1) as f64,
+        }
+    }
+
+    #[test]
+    fn bathtub_fast_paths_match_exact_loop_to_bits() {
+        use openserdes_pdk::units::Time;
+        let at = |ghz: f64, channel: ChannelModel| {
+            let mut cfg = LinkConfig::paper_default();
+            cfg.data_rate = Hertz::from_ghz(ghz);
+            cfg.channel = channel;
+            cfg
+        };
+        let mut wide = at(2.0, ChannelModel::lossy(20.0));
+        // 60 ps RJ at 2 Gb/s reaches past the whole eye: no safe phase.
+        wide.channel.rj_sigma = Time::from_ps(60.0);
+        let mut negative = at(2.5, ChannelModel::lossy(28.0));
+        negative.channel.rj_sigma = Time::from_ps(-4.0);
+        let configs = [
+            LinkConfig::paper_default(),
+            at(2.0, ChannelModel::lossy(20.0)),
+            at(3.0, ChannelModel::lossy(30.0)),
+            at(1.0, ChannelModel::ideal()),
+            negative,
+            wide,
+        ];
+        let (nbits, phases, seed) = (3_000, 16, 11);
+        for (c, cfg) in configs.iter().enumerate() {
+            let (bits, model) = bathtub_setup(cfg, nbits).expect("setup");
+            let safe = (0..phases)
+                .filter(|&k| edge_reach(&model, (k as f64 + 0.5) / phases as f64) == (false, false))
+                .count();
+            if c == configs.len() - 1 {
+                assert_eq!(safe, 0, "the wide-RJ model has no safe phase");
+            } else {
+                assert!(safe > phases / 2, "config {c}: {safe} safe phases");
+            }
+            let exact: Vec<_> = (0..phases)
+                .map(|k| bathtub_point_exact(&bits, &model, k, phases, seed))
+                .collect();
+            for threads in [1, 2, 4] {
+                let curve = Sweep::new()
+                    .with_bits(nbits)
+                    .with_phases(phases)
+                    .with_seed(seed)
+                    .with_threads(threads)
+                    .bathtub(cfg)
+                    .expect("bathtub");
+                for (got, want) in curve.iter().zip(&exact) {
+                    assert_eq!(got.phase_ui.to_bits(), want.phase_ui.to_bits());
+                    assert_eq!(
+                        got.ber.to_bits(),
+                        want.ber.to_bits(),
+                        "config {c}, phase {}, {threads} threads",
+                        got.phase_ui
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bathtub_rejects_fewer_than_two_bits() {
+        let cfg = LinkConfig::paper_default();
+        for nbits in [0, 1] {
+            let sweep = Sweep::new().with_bits(nbits).with_phases(4);
+            for err in [
+                sweep.bathtub(&cfg).expect_err("bathtub"),
+                sweep.try_bathtub(&cfg).expect_err("try_bathtub"),
+            ] {
+                assert!(
+                    matches!(err, LinkError::InvalidInput { field: "bits", .. }),
+                    "bits = {nbits}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(
+            Sweep::new()
+                .with_bits(2)
+                .with_phases(4)
+                .bathtub(&cfg)
+                .map(|c| c.len()),
+            Ok(4)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! coalescer assume.
 
 use openserdes::core::job::{DesignSpec, Request, Response, SweepSpec};
-use openserdes::core::{JobKey, LinkConfig, Sweep};
+use openserdes::core::{Error, JobKey, LinkConfig, Sweep};
 use openserdes::fault::{campaign, CampaignKind};
 use openserdes::pdk::corner::{ProcessCorner, Pvt};
 use openserdes::pdk::units::Hertz;
@@ -304,4 +304,31 @@ fn zero_threads_clamp_regression() {
         })
         .expect("clamped session still serves sweeps");
     assert!(matches!(response, Response::MaxLoss { .. }));
+}
+
+/// A bathtub of fewer than two bits per phase has nothing to score: it
+/// used to answer every BER as NaN (one bit) or panic / answer a vacuous
+/// 0.0 (no bits). Both sizes are now refused with a typed error that
+/// names the field.
+#[test]
+fn degenerate_bathtub_sizes_are_rejected() {
+    let mut session = Session::new().with_seed(3);
+    for bits in [0, 1] {
+        let err = session
+            .submit(&Request::Bathtub {
+                config: LinkConfig::paper_default(),
+                sweep: SweepSpec {
+                    bits,
+                    phases: 4,
+                    frames: 2,
+                    tol_db: 2.0,
+                },
+            })
+            .expect_err("degenerate bathtub must be refused");
+        assert!(
+            matches!(err, Error::InvalidInput { field: "bits", .. }),
+            "bits = {bits}: {err:?}"
+        );
+        assert!(err.to_string().contains("`bits`"), "{err}");
+    }
 }

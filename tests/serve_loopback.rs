@@ -13,7 +13,7 @@
 use openserdes::core::job::{DesignSpec, Request, Response, SweepSpec};
 use openserdes::core::LinkConfig;
 use openserdes::fault::{server_campaign, ServerFaultKind};
-use openserdes::pdk::units::Hertz;
+use openserdes::pdk::units::{Hertz, Time};
 use openserdes::serve::{
     wire, Client, ClientConfig, ClientError, Server, ServerConfig, ServerStats,
 };
@@ -41,6 +41,23 @@ fn with_server(config: ServerConfig, body: impl FnOnce(std::net::SocketAddr)) ->
         "serve.* counters flow through telemetry"
     );
     stats
+}
+
+/// A job that holds the sole worker for a few hundred milliseconds: a
+/// million-bit bathtub whose random jitter reaches every sampling phase,
+/// so no phase can take the bathtub's jitter-free fast path.
+fn slow_bathtub() -> Request {
+    let mut config = LinkConfig::paper_default();
+    config.channel.rj_sigma = Time::from_ps(60.0);
+    Request::Bathtub {
+        config,
+        sweep: SweepSpec {
+            bits: 1_000_000,
+            phases: 8,
+            frames: 2,
+            tol_db: 1.0,
+        },
+    }
 }
 
 fn quick_bathtub(bits: usize) -> Request {
@@ -133,9 +150,7 @@ fn identical_submissions_coalesce_and_then_hit_the_cache() {
     let stats = with_server(config, |addr| {
         let occupier = std::thread::spawn(move || {
             let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(1, 77, &quick_bathtub(1_000_000))
-                .expect("slow job")
+            client.submit(1, 77, &slow_bathtub()).expect("slow job")
         });
         // Let the occupier reach the worker before the twins arrive.
         std::thread::sleep(Duration::from_millis(200));
@@ -192,9 +207,7 @@ fn overload_sheds_with_a_typed_response() {
     let stats = with_server(config, |addr| {
         let occupier = std::thread::spawn(move || {
             let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(5, 177, &quick_bathtub(1_000_000))
-                .expect("slow job")
+            client.submit(5, 177, &slow_bathtub()).expect("slow job")
         });
         std::thread::sleep(Duration::from_millis(200));
 
@@ -328,7 +341,8 @@ fn dead_server_times_out_typed_instead_of_hanging() {
 fn hostile_length_prefix_gets_a_typed_error_and_clean_close() {
     let stats = with_server(ServerConfig::default(), |addr| {
         let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(&u32::MAX.to_be_bytes()).expect("hostile prefix");
+        s.write_all(&u32::MAX.to_be_bytes())
+            .expect("hostile prefix");
         let reply = wire::read_frame_blocking(&mut s)
             .expect("typed reply, not a dropped connection")
             .expect("frame before close");
@@ -362,9 +376,7 @@ fn queued_jobs_past_deadline_come_back_typed() {
     let stats = with_server(config, |addr| {
         let occupier = std::thread::spawn(move || {
             let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(1, 277, &quick_bathtub(1_000_000))
-                .expect("slow job")
+            client.submit(1, 277, &slow_bathtub()).expect("slow job")
         });
         std::thread::sleep(Duration::from_millis(200));
 
