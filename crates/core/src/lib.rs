@@ -37,7 +37,6 @@ pub mod cdr;
 pub mod cost;
 pub mod error;
 pub mod job;
-pub mod json;
 pub mod link;
 pub mod prbs;
 pub mod scan;
@@ -47,6 +46,10 @@ pub mod sweep;
 pub mod top;
 
 mod deserializer;
+
+// The workspace's one JSON codec lives in the dependency-free telemetry
+// crate; the re-export keeps the `openserdes_core::json` path.
+pub use openserdes_telemetry::json;
 
 pub use ber::BerTest;
 pub use bitstream::BitVec;

@@ -416,10 +416,16 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures as the unified [`Error`]; never
+    /// [`Error::InvalidInput`] naming the field, before any work runs,
+    /// for a request no engine can answer meaningfully: a non-finite or
+    /// non-positive `config.data_rate` on a link or sweep job, such a
+    /// rate in a rate sweep's `rates`, or `sweep.frames == 0` on a loss
+    /// bisection (max-loss, rate and corner sweeps). Otherwise
+    /// propagates engine failures as the unified [`Error`]; never
     /// returns [`Error::Parse`] (parsing happens before a `Request`
     /// exists).
     pub fn submit(&mut self, request: &Request) -> Result<Response, Error> {
+        check_request(request)?;
         let seed = self.seed;
         let req_sweep =
             |spec: &crate::job::SweepSpec, base: Sweep| spec.apply(base).with_seed(seed);
@@ -516,6 +522,43 @@ impl Session {
         self.record.merge(rec, telemetry::max_events());
         out
     }
+}
+
+/// Refuses the boundary inputs [`Session::submit`] would otherwise
+/// answer with a plausible-looking but meaningless result (which the
+/// serve plane would then cache).
+fn check_request(request: &Request) -> Result<(), Error> {
+    let (config, loss_sweep) = match request {
+        Request::RunLink { config, .. }
+        | Request::RunLinkWithFaults { config, .. }
+        | Request::Bathtub { config, .. } => (config, None),
+        Request::MaxLoss { config, sweep }
+        | Request::RateSweep { config, sweep, .. }
+        | Request::CornerSweep { config, sweep } => (config, Some(sweep)),
+        Request::RunFlow { .. } | Request::Sta { .. } | Request::Lint { .. } => return Ok(()),
+    };
+    let bad_rate = |rate: Hertz| !(rate.value().is_finite() && rate.value() > 0.0);
+    if bad_rate(config.data_rate) {
+        return Err(Error::InvalidInput {
+            field: "config.data_rate",
+            reason: format!("{} Hz is not a finite rate > 0", config.data_rate.value()),
+        });
+    }
+    if let Request::RateSweep { rates, .. } = request {
+        if let Some((i, rate)) = rates.iter().enumerate().find(|(_, r)| bad_rate(**r)) {
+            return Err(Error::InvalidInput {
+                field: "rates",
+                reason: format!("rates[{i}] = {} Hz is not a finite rate > 0", rate.value()),
+            });
+        }
+    }
+    if loss_sweep.is_some_and(|sweep| sweep.frames == 0) {
+        return Err(Error::InvalidInput {
+            field: "sweep.frames",
+            reason: "a loss bisection needs at least 1 frame per probe".to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

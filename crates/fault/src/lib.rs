@@ -14,9 +14,11 @@
 //! * [`FaultEvent`] — one fault anchored at a UI timestamp.
 //! * [`FaultSchedule`] — a seeded, ordered, serializable event list.
 //!   Same seed + same schedule ⇒ the same injected sample flips, on any
-//!   worker count, forever. Round-trips through JSON with no external
-//!   dependencies ([`FaultSchedule::to_json`] /
-//!   [`FaultSchedule::from_json`]).
+//!   worker count, forever. Round-trips through JSON
+//!   ([`FaultSchedule::to_json`] / [`FaultSchedule::from_json`]) via the
+//!   workspace's one codec, `openserdes_telemetry::json`; parsing
+//!   refuses out-of-range fields (a `bit` beyond `u32`, a flip
+//!   probability outside [0, 1]) with [`FaultError::Parse`].
 //! * [`campaign`] — standard seeded campaign generators
 //!   ([`CampaignKind`]) so benches and CI exercise a stable matrix.
 //! * [`apply_stuck_at`] — rewrite a netlist so a named net is stuck at

@@ -52,5 +52,5 @@ mod report;
 mod rules;
 
 pub use config::{LintConfig, LintLevel};
-pub use report::{json_escape, EntityKind, Finding, LintReport, Location};
+pub use report::{EntityKind, Finding, LintReport, Location};
 pub use rules::{Rule, Severity};

@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use openserdes_telemetry::json::push_quoted;
+
 use crate::config::LintConfig;
 use crate::rules::{Rule, Severity};
 
@@ -252,15 +254,15 @@ impl LintReport {
         self.findings.is_empty()
     }
 
-    /// Render the report as a JSON object (no external deps: the
-    /// encoder is hand-rolled and escapes via [`json_escape`]).
+    /// Render the report as a JSON object (strings escaped by the
+    /// workspace codec, `openserdes_telemetry::json`).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + 160 * self.findings.len());
-        s.push_str("{\"design\":\"");
-        s.push_str(&json_escape(&self.design));
-        s.push_str("\",\"domain\":\"");
-        s.push_str(&json_escape(&self.domain));
-        s.push_str("\",\"errors\":");
+        s.push_str("{\"design\":");
+        push_quoted(&mut s, &self.design);
+        s.push_str(",\"domain\":");
+        push_quoted(&mut s, &self.domain);
+        s.push_str(",\"errors\":");
         s.push_str(&self.count(Severity::Error).to_string());
         s.push_str(",\"warnings\":");
         s.push_str(&self.count(Severity::Warn).to_string());
@@ -279,9 +281,8 @@ impl LintReport {
             s.push_str(f.rule.title());
             s.push_str("\",\"severity\":\"");
             s.push_str(f.severity.label());
-            s.push_str("\",\"message\":\"");
-            s.push_str(&json_escape(&f.message));
-            s.push('"');
+            s.push_str("\",\"message\":");
+            push_quoted(&mut s, &f.message);
             if let Some(loc) = &f.location {
                 s.push_str(",\"location\":");
                 push_location(&mut s, loc);
@@ -306,9 +307,9 @@ impl LintReport {
 fn push_location(s: &mut String, loc: &Location) {
     s.push_str("{\"kind\":\"");
     s.push_str(loc.kind.label());
-    s.push_str("\",\"name\":\"");
-    s.push_str(&json_escape(&loc.name));
-    s.push_str("\",\"id\":");
+    s.push_str("\",\"name\":");
+    push_quoted(s, &loc.name);
+    s.push_str(",\"id\":");
     s.push_str(&loc.id.to_string());
     s.push('}');
 }
@@ -334,23 +335,6 @@ impl fmt::Display for LintReport {
         }
         Ok(())
     }
-}
-
-/// Escape a string for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -412,16 +396,10 @@ mod tests {
         assert!(j.contains("\"rule\":\"NL002\""));
         assert!(j.contains("\"errors\":1"));
         assert!(j.contains("\"location\":{\"kind\":\"net\",\"name\":\"a\",\"id\":3}"));
-        // Balanced braces/brackets (the encoder is hand-rolled).
+        // Balanced braces/brackets.
         let open = j.matches('{').count();
         let close = j.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn json_escape_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -1,35 +1,17 @@
 //! Exporters: human-readable tree, machine JSON, and Chrome
 //! `trace_event` JSON (loadable in `chrome://tracing` / Perfetto).
 
+use crate::json::push_quoted;
 use crate::record::{Histogram, Record, SpanNode};
 use std::fmt::Write as _;
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn span_json(node: &SpanNode, out: &mut String) {
+    out.push_str("{\"name\":");
+    push_quoted(out, node.name);
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"children\":[",
-        json_escape(node.name),
-        node.count,
-        node.total_ns
+        ",\"count\":{},\"total_ns\":{},\"children\":[",
+        node.count, node.total_ns
     );
     for (i, c) in node.children.iter().enumerate() {
         if i > 0 {
@@ -136,14 +118,16 @@ impl Record {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
+            push_quoted(&mut out, k);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":", json_escape(k));
+            push_quoted(&mut out, k);
+            out.push(':');
             histogram_json(h, &mut out);
         }
         let _ = write!(
@@ -171,11 +155,12 @@ impl Record {
              \"args\":{\"name\":\"openserdes\"}}",
         );
         for e in &self.events {
+            out.push_str(",{\"name\":");
+            push_quoted(&mut out, e.name);
             let _ = write!(
                 out,
-                ",{{\"name\":\"{}\",\"cat\":\"openserdes\",\"ph\":\"X\",\
+                ",\"cat\":\"openserdes\",\"ph\":\"X\",\
                  \"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}}}",
-                json_escape(e.name),
                 e.start_ns as f64 / 1e3,
                 e.dur_ns as f64 / 1e3,
                 e.tid
@@ -262,11 +247,5 @@ mod tests {
         assert_eq!(r.to_tree_string(), "");
         assert!(r.to_json().contains("\"spans\":[]"));
         assert!(r.to_chrome_trace().ends_with("]}"));
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

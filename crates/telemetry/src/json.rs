@@ -1,6 +1,9 @@
 //! Minimal dependency-free JSON: a value tree, a recursive-descent
-//! parser, and the canonical-encoding helpers the serializable job API
-//! ([`crate::job`]) and the `openserdes-serve` wire protocol share.
+//! parser, and the canonical-encoding helpers — the workspace's one
+//! JSON codec. The serializable job API (`openserdes_core::job`, which
+//! re-exports this module as `openserdes_core::json`), the
+//! `openserdes-serve` wire protocol, fault schedules, lint reports and
+//! the telemetry exporters all read and write JSON through it.
 //!
 //! The encoding contract is *canonical*: object fields are written in a
 //! fixed, code-defined order with no whitespace, `f64` uses `{:?}`
@@ -16,8 +19,17 @@
 //! JSON spelling; [`push_f64`] writes them as the quoted strings
 //! `"inf"`, `"-inf"` and `"nan"`, and [`Json::as_f64`] accepts those
 //! spellings back.
+//!
+//! The parser refuses documents nested deeper than [`MAX_DEPTH`]
+//! arrays/objects, so a hostile frame of a million `[` gets a typed
+//! error instead of overflowing the parsing thread's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests fewer than ten levels; the cap exists so the
+/// recursive descent stays far inside any thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +196,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -231,6 +244,8 @@ pub fn push_f64(out: &mut String, v: f64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,8 +288,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_obj(),
-            Some(b'[') => self.parse_arr(),
+            Some(b'{') => self.nested(Self::parse_obj),
+            Some(b'[') => self.nested(Self::parse_arr),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
@@ -282,6 +297,18 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs one array/object parser one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_obj(&mut self) -> Result<Json, String> {
@@ -488,5 +515,44 @@ mod tests {
         let mut s = String::new();
         push_quoted(&mut s, nasty);
         assert_eq!(parse(&s).expect("parses").as_str("s").expect("str"), nasty);
+        for (raw, quoted) in [
+            ("a\"b\\c\n", r#""a\"b\\c\n""#),
+            ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
+            ("\u{1}", r#""\u0001""#),
+            ("\r\t\u{1f}π", r#""\r\t\u001fπ""#),
+        ] {
+            let mut s = String::new();
+            push_quoted(&mut s, raw);
+            assert_eq!(s, quoted, "exact bytes for {raw:?}");
+            assert_eq!(parse(&s).expect("parses").as_str("s").expect("str"), raw);
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "{MAX_DEPTH} levels still parse");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(
+            parse(&objects).is_ok(),
+            "{MAX_DEPTH} object levels still parse"
+        );
+
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+
+        // A megabyte of `[` (well under the serve frame cap) returns an
+        // error on a 2 MiB thread stack instead of overflowing it.
+        let deep = "[".repeat(1 << 20);
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&deep))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+            .expect_err("refused");
+        assert!(err.contains("at byte 128"), "{err}");
     }
 }

@@ -39,8 +39,13 @@
 //! record per work item and absorb them in **input-index order**, so
 //! counters, histograms and span structure are bit-identical for any
 //! worker count; only wall times vary run to run.
+//!
+//! The crate also hosts the workspace's one JSON codec, [`json`] (value
+//! tree, parser, canonical writers): it has no dependencies, so every
+//! other crate can share it, and the exporters here write through it.
 
 mod export;
+pub mod json;
 mod record;
 
 pub use record::{merge_span_lists, Histogram, Record, SpanNode, TraceEvent, HISTOGRAM_BUCKETS};

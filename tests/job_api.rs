@@ -332,3 +332,118 @@ fn degenerate_bathtub_sizes_are_rejected() {
         assert!(err.to_string().contains("`bits`"), "{err}");
     }
 }
+
+/// Small Monte-Carlo knobs for the boundary-input regressions.
+fn small_sweep(frames: usize) -> SweepSpec {
+    SweepSpec {
+        bits: 500,
+        phases: 4,
+        frames,
+        tol_db: 2.0,
+    }
+}
+
+/// Submits `request` and asserts a typed refusal naming `field`.
+fn assert_refused(request: &Request, field: &str) -> String {
+    let err = Session::new()
+        .with_seed(3)
+        .submit(request)
+        .expect_err("boundary input must be refused");
+    match &err {
+        Error::InvalidInput { field: got, reason } => {
+            assert_eq!(*got, field, "{err}");
+            reason.clone()
+        }
+        other => panic!("expected InvalidInput on `{field}`, got {other:?}"),
+    }
+}
+
+/// A max-loss bisection with no frames per probe used to answer the
+/// bisection's upper bracket (60 dB) — and the server would cache it.
+#[test]
+fn max_loss_with_zero_frames_is_rejected() {
+    assert_refused(
+        &Request::MaxLoss {
+            config: LinkConfig::paper_default(),
+            sweep: small_sweep(0),
+        },
+        "sweep.frames",
+    );
+    let mut config = LinkConfig::paper_default();
+    config.data_rate = Hertz::from_ghz(2.0);
+    for request in [
+        Request::RateSweep {
+            config: config.clone(),
+            sweep: small_sweep(0),
+            rates: vec![Hertz::from_ghz(2.0)],
+        },
+        Request::CornerSweep {
+            config,
+            sweep: small_sweep(0),
+        },
+    ] {
+        assert_refused(&request, "sweep.frames");
+    }
+}
+
+/// A bathtub at 0 Hz used to return BERs for an infinite unit interval.
+#[test]
+fn bathtub_at_zero_hertz_is_rejected() {
+    let mut config = LinkConfig::paper_default();
+    config.data_rate = Hertz::new(0.0);
+    let reason = assert_refused(
+        &Request::Bathtub {
+            config,
+            sweep: small_sweep(2),
+        },
+        "config.data_rate",
+    );
+    assert!(reason.contains("0 Hz"), "{reason}");
+}
+
+/// A rate sweep probing -1 GHz used to answer a sensitivity of 3.6 MV.
+#[test]
+fn rate_sweep_at_negative_rate_is_rejected() {
+    let reason = assert_refused(
+        &Request::RateSweep {
+            config: LinkConfig::paper_default(),
+            sweep: small_sweep(2),
+            rates: vec![Hertz::from_ghz(2.0), Hertz::from_ghz(-1.0)],
+        },
+        "rates",
+    );
+    assert!(reason.contains("rates[1]"), "{reason}");
+}
+
+/// A link run at a NaN rate used to "succeed".
+#[test]
+fn run_link_at_nan_rate_is_rejected() {
+    let frames = vec![[0xDEAD_BEEF_u32, 1, 2, 3, 4, 5, 6, 7]; 2];
+    let mut config = LinkConfig::paper_default();
+    config.data_rate = Hertz::new(f64::NAN);
+    assert_refused(
+        &Request::RunLink {
+            config: config.clone(),
+            frames: frames.clone(),
+        },
+        "config.data_rate",
+    );
+    config.data_rate = Hertz::new(f64::INFINITY);
+    assert_refused(
+        &Request::RunLinkWithFaults {
+            config,
+            frames: frames.clone(),
+            schedule: campaign(CampaignKind::BurstNoise, 1, 512),
+        },
+        "config.data_rate",
+    );
+    // The same job at a real rate still runs.
+    let response = Session::new()
+        .with_seed(3)
+        .submit(&Request::RunLink {
+            config: LinkConfig::paper_default(),
+            frames,
+        })
+        .expect("valid link job runs");
+    assert!(matches!(response, Response::Link(_)));
+}

@@ -367,6 +367,53 @@ fn hostile_length_prefix_gets_a_typed_error_and_clean_close() {
     assert_eq!(stats.conn_errors, 0);
 }
 
+/// A megabyte of `[` — far under `MAX_FRAME` — used to overflow the
+/// serving thread's stack in the recursive JSON parser and abort the
+/// whole server. It now gets a typed error frame, and the same
+/// connection and server go on answering valid jobs.
+#[test]
+fn deeply_nested_frame_gets_a_typed_error_and_the_server_survives() {
+    let stats = with_server(ServerConfig::default(), |addr| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("bounded read");
+        wire::write_frame_blocking(&mut s, "[".repeat(1 << 20).as_bytes()).expect("deep frame");
+        let reply = wire::read_frame_blocking(&mut s)
+            .expect("typed reply, not a dead server")
+            .expect("frame before close");
+        match wire::parse_reply(&String::from_utf8(reply).expect("utf8")).expect("reply parses") {
+            Err(msg) => assert!(msg.contains("nesting deeper than"), "typed error: {msg}"),
+            Ok(other) => panic!("expected an error frame, got {other:?}"),
+        }
+
+        let envelope = wire::Envelope {
+            tenant: "after".to_string(),
+            priority: 1,
+            seed: 5,
+            deadline_ms: None,
+            request: Request::Lint {
+                design: DesignSpec::Serializer,
+            },
+        };
+        wire::write_frame_blocking(&mut s, envelope.to_json().as_bytes()).expect("valid frame");
+        let reply = wire::read_frame_blocking(&mut s)
+            .expect("reply")
+            .expect("frame");
+        let served = wire::parse_reply(&String::from_utf8(reply).expect("utf8"))
+            .expect("reply parses")
+            .expect("job served");
+        assert!(matches!(served, Response::Lint(_)), "{served:?}");
+
+        let mut client = Client::connect(addr, "fresh").expect("connect");
+        assert!(matches!(
+            client.submit(1, 6, &quick_bathtub(1_000)).expect("served"),
+            Response::Bathtub(_)
+        ));
+    });
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.completed, 2);
+}
+
 #[test]
 fn queued_jobs_past_deadline_come_back_typed() {
     let config = ServerConfig {

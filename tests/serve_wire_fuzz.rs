@@ -54,6 +54,41 @@ proptest! {
         let _ = wire::parse_reply(&text);
     }
 
+    /// Arbitrarily deep nesting — bare or inside an envelope's
+    /// `request` — comes back as a typed parse error on a 2 MiB stack
+    /// instead of overflowing it.
+    #[test]
+    fn deep_nesting_is_a_typed_error(
+        depth in 129usize..200_000,
+        object in any::<bool>(),
+    ) {
+        let open = if object { "{\"a\":" } else { "[" };
+        let nested = open.repeat(depth);
+        let wrapped = format!(
+            "{{\"schema\":\"openserdes-serve/1\",\"tenant\":\"t\",\"priority\":1,\"seed\":1,\"request\":{nested}"
+        );
+        let (bare, envelope, reply) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    Envelope::from_json(&nested).map(|_| ()),
+                    Envelope::from_json(&wrapped).map(|_| ()),
+                    wire::parse_reply(&wrapped).map(|_| ()),
+                )
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        for result in [bare, envelope, reply] {
+            match result {
+                Err(openserdes::Error::Parse(msg)) => {
+                    prop_assert!(msg.contains("nesting deeper than"), "{}", msg)
+                }
+                other => return Err(format!("expected a typed nesting error, got {other:?}")),
+            }
+        }
+    }
+
     /// Every truncation of a valid envelope parses to a typed error or
     /// (at full length) the original — never a panic.
     #[test]
