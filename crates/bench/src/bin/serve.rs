@@ -33,10 +33,9 @@
 
 use openserdes_core::job::{Request, Response, SweepSpec};
 use openserdes_core::{LinkConfig, PrbsGenerator, PrbsOrder, Session, FRAME_BITS};
-use openserdes_fault::{campaign, server_campaign, CampaignKind, ServerFaultKind, ServerFaultPlan};
-use openserdes_serve::{wire, Client, ClientError, Server, ServerConfig, ServerStats};
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
+use openserdes_fault::{campaign, server_campaign, CampaignKind, ServerFaultPlan};
+use openserdes_serve::{chaos, Client, Server, ServerConfig, ServerStats};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -314,104 +313,6 @@ fn chaos_survivor() -> Request {
     }
 }
 
-/// Executes one server-plane fault event against a live server — the
-/// bench twin of the loopback test driver. Every read carries a
-/// timeout, so a server that stops answering fails the run instead of
-/// hanging it.
-fn inject_fault(addr: SocketAddr, kind: ServerFaultKind) {
-    match kind {
-        ServerFaultKind::DropMidFrame => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&100u32.to_be_bytes()).expect("prefix");
-            s.write_all(&[0x78; 10]).expect("partial payload");
-            drop(s);
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        ServerFaultKind::TruncatedFrame { promised } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&promised.to_be_bytes()).expect("prefix");
-            s.write_all(&vec![0x79; (promised / 2) as usize])
-                .expect("half payload");
-            drop(s);
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        ServerFaultKind::OversizedPrefix { announced } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.set_read_timeout(Some(Duration::from_millis(500)))
-                .expect("bounded read");
-            let prefix = announced.min(u64::from(u32::MAX)) as u32;
-            s.write_all(&prefix.to_be_bytes()).expect("hostile prefix");
-            let reply = wire::read_frame_blocking(&mut s)
-                .expect("typed reply")
-                .expect("frame before close");
-            let text = String::from_utf8(reply).expect("utf8");
-            match wire::parse_reply(&text).expect("parses") {
-                Err(msg) => assert!(msg.contains("MAX_FRAME"), "typed: {msg}"),
-                Ok(other) => panic!("expected error frame, got {other:?}"),
-            }
-            assert_eq!(wire::read_frame_blocking(&mut s).expect("close"), None);
-        }
-        ServerFaultKind::StalledReader { hold_ms } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&64u32.to_be_bytes()).expect("prefix");
-            s.write_all(b"stall").expect("first bytes");
-            std::thread::sleep(Duration::from_millis(hold_ms));
-            drop(s);
-        }
-        ServerFaultKind::WorkerPanic => {
-            let mut poison = LinkConfig::paper_default();
-            poison.cdr.oversampling = 0;
-            let request = Request::RunLink {
-                config: poison,
-                frames: vec![[7u32; 8]],
-            };
-            let mut client = Client::connect(addr, "chaos-panic").expect("connect");
-            match client.submit(1, 31_337, &request) {
-                Err(ClientError::Server(msg)) => {
-                    assert!(msg.contains("panicked"), "isolated typed: {msg}")
-                }
-                other => panic!("expected isolated panic, got {other:?}"),
-            }
-        }
-        ServerFaultKind::DeadlineStorm { jobs } => {
-            let mut client = Client::connect(addr, "chaos-storm").expect("connect");
-            for i in 0..jobs {
-                match client
-                    .submit_with_deadline(1, 50_000 + i, Some(0), &chaos_survivor())
-                    .expect("typed reply")
-                {
-                    Response::DeadlineExceeded(info) => assert_eq!(info.deadline_ms, 0),
-                    other => panic!("expected deadline exceeded, got {other:?}"),
-                }
-            }
-        }
-        ServerFaultKind::ConnFlood { conns } => {
-            // Let EOFs from earlier events settle first, so the cap is
-            // filled by exactly these holders and nothing stale.
-            std::thread::sleep(Duration::from_millis(50));
-            let holders: Vec<TcpStream> = (0..4)
-                .map(|_| TcpStream::connect(addr).expect("holder"))
-                .collect();
-            std::thread::sleep(Duration::from_millis(50));
-            for _ in 0..conns {
-                let mut s = TcpStream::connect(addr).expect("flood conn");
-                s.set_read_timeout(Some(Duration::from_millis(500)))
-                    .expect("bounded read");
-                let reply = wire::read_frame_blocking(&mut s)
-                    .expect("typed rejection")
-                    .expect("frame");
-                let text = String::from_utf8(reply).expect("utf8");
-                match wire::parse_reply(&text).expect("parses") {
-                    Err(msg) => assert!(msg.contains("capacity"), "typed: {msg}"),
-                    Ok(other) => panic!("expected typed rejection, got {other:?}"),
-                }
-            }
-            drop(holders);
-            std::thread::sleep(Duration::from_millis(30));
-        }
-    }
-}
-
 /// Runs the full campaign against a fresh server at `workers`, then the
 /// survivor job. Returns `(stats, survivor_identical, hangs)`.
 fn chaos_run(plan: &ServerFaultPlan, workers: usize, expected: &str) -> (ServerStats, bool, usize) {
@@ -429,7 +330,7 @@ fn chaos_run(plan: &ServerFaultPlan, workers: usize, expected: &str) -> (ServerS
     let mut hangs = 0usize;
     for event in plan.events() {
         let t0 = Instant::now();
-        inject_fault(addr, event.kind);
+        chaos::inject(addr, event.kind).unwrap_or_else(|e| panic!("chaos event {event:?}: {e}"));
         if t0.elapsed() > CHAOS_HANG_BUDGET {
             hangs += 1;
         }
@@ -439,7 +340,7 @@ fn chaos_run(plan: &ServerFaultPlan, workers: usize, expected: &str) -> (ServerS
         .submit_raw(1, 4242, &chaos_survivor())
         .expect("survivor job");
     let identical = raw == expected;
-    // Let async billing of the last connection events settle.
+    // Let the billing of the last connection events settle.
     std::thread::sleep(Duration::from_millis(100));
     handle.stop();
     let (stats, _) = serving.join().expect("chaos server thread").expect("serve");
@@ -473,20 +374,20 @@ fn chaos_phase(smoke: bool) -> String {
     let mut accounted = all_stats.iter().all(|s| *s == first);
     let ledger = plan.expected_ledger();
     for (counter, hits) in &ledger {
-        let got = match *counter {
-            "serve.conn_errors" => first.conn_errors,
-            "serve.protocol_errors" => first.protocol_errors,
-            "serve.timeouts" => first.timeouts,
-            "serve.panics_isolated" => first.panics_isolated,
-            "serve.deadline_expired" => first.deadline_expired,
-            "serve.conns_rejected" => first.conns_rejected,
-            other => panic!("unknown counter in ledger: {other}"),
-        };
+        let got = first
+            .counter(counter)
+            .expect("ledger names a serve counter");
         accounted &= got == *hits;
     }
-    assert!(accounted, "every fault billed to its contracted counter, worker-count independent");
+    assert!(
+        accounted,
+        "every fault billed to its contracted counter, worker-count independent"
+    );
     assert_eq!(hangs, 0, "every chaos event must finish inside its budget");
-    assert!(bit_identity, "survivor replies must match direct Session::submit");
+    assert!(
+        bit_identity,
+        "survivor replies must match direct Session::submit"
+    );
     assert_eq!(first.completed, 1, "exactly the survivor job completes");
 
     let mut by_kind: Vec<(&'static str, u64)> = Vec::new();
@@ -623,7 +524,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- deterministic server chaos (opt-in via --chaos) ------------
-    let chaos_json = if chaos { chaos_phase(smoke) } else { String::new() };
+    let chaos_json = if chaos {
+        chaos_phase(smoke)
+    } else {
+        String::new()
+    };
 
     // ---- JSON ------------------------------------------------------
     let links = jobs.iter().filter(|(l, ..)| l.starts_with("link")).count();

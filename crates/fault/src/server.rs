@@ -4,10 +4,11 @@
 //! seeded and bit-reproducible.
 //!
 //! This module owns only the plan — which fault, in what order, with
-//! what parameters. The drivers (the serve loopback tests and the
-//! `bench serve --chaos` phase) turn each event into real sockets and
-//! hostile bytes, then prove the server billed every one to exactly
-//! one `serve.*` counter with zero hangs.
+//! what parameters. The driver (`openserdes_serve::chaos::inject`)
+//! turns each event into real sockets and hostile bytes; the serve
+//! loopback tests and the `bench serve --chaos` phase run plans through
+//! it and prove the server billed every one to exactly one `serve.*`
+//! counter with zero hangs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

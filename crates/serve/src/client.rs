@@ -71,13 +71,8 @@ impl std::error::Error for ClientError {
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
-        // Unix reports an expired SO_RCVTIMEO/SO_SNDTIMEO as
-        // `WouldBlock`; Windows as `TimedOut`. Both are the bounded
-        // wait expiring, not a transport fault.
-        if matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        ) {
+        // A bounded wait expiring, not a transport fault.
+        if wire::is_timeout(&e) {
             ClientError::Timeout(e)
         } else {
             ClientError::Io(e)
@@ -297,9 +292,7 @@ impl Client {
     fn backoff(&mut self, attempt: u32) {
         let base = self.config.backoff_base_ms.max(1);
         let cap = self.config.backoff_cap_ms.max(base);
-        let ceiling = base
-            .saturating_mul(1u64 << (attempt - 1).min(32))
-            .min(cap);
+        let ceiling = base.saturating_mul(1u64 << (attempt - 1).min(32)).min(cap);
         // Equal jitter: half deterministic, half seeded — spreads
         // retry storms without losing reproducibility for a seed.
         let half = ceiling / 2;

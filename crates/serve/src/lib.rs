@@ -1,6 +1,6 @@
 //! # openserdes-serve
 //!
-//! The link-farm front door: a dependency-free async TCP server that
+//! The link-farm front door: a dependency-free TCP server that
 //! exposes the whole [`openserdes_core::Session`] engine surface —
 //! link runs, bathtubs, fault campaigns, corner sweeps, flow/STA/lint —
 //! behind the serializable [`openserdes_core::job::Request`] /
@@ -30,10 +30,9 @@
 //!   and a timeout-and-seeded-retry [`Client`] — safe to retry because
 //!   a resubmitted job is an exact cache/coalesce hit.
 //!
-//! The async runtime is vendored in the spirit of the workspace's
-//! offline `rand`/`proptest`/`criterion` stand-ins: a single-threaded
-//! poll-tick reactor over non-blocking `std::net` sockets — no external
-//! crates, no OS readiness APIs.
+//! Each accepted connection is served by its own blocking thread over
+//! plain `std::net` sockets; [`ServerConfig::max_connections`] bounds
+//! how many exist. No external crates, no OS readiness APIs.
 //!
 //! ```no_run
 //! use openserdes_core::job::{Request, SweepSpec};
@@ -60,11 +59,10 @@
 //! ```
 
 mod cache;
-mod executor;
-mod net;
 mod sched;
 mod server;
 
+pub mod chaos;
 pub mod client;
 pub mod wire;
 

@@ -20,11 +20,8 @@ use crate::wire;
 use openserdes_core::job::{DeadlineInfo, Request, Response, ShedInfo};
 use openserdes_core::{JobKey, Session};
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Counters accumulated over a server's lifetime, the source of truth
@@ -67,6 +64,35 @@ pub struct ServerStats {
     pub conn_errors: u64,
 }
 
+impl ServerStats {
+    /// Every counter under its `serve.*` telemetry name, in a fixed
+    /// order — the names `openserdes-fault`'s server-fault ledger uses.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        [
+            ("serve.requests", self.requests),
+            ("serve.cache_hits", self.cache_hits),
+            ("serve.cache_misses", self.cache_misses),
+            ("serve.coalesced", self.coalesced),
+            ("serve.shed", self.shed),
+            ("serve.completed", self.completed),
+            ("serve.errored", self.errored),
+            ("serve.panics_isolated", self.panics_isolated),
+            ("serve.deadline_expired", self.deadline_expired),
+            ("serve.timeouts", self.timeouts),
+            ("serve.conns_rejected", self.conns_rejected),
+            ("serve.protocol_errors", self.protocol_errors),
+            ("serve.conn_errors", self.conn_errors),
+        ]
+    }
+
+    /// One counter by its `serve.*` name; `None` for an unknown name.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters()
+            .into_iter()
+            .find_map(|(n, value)| (n == name).then_some(value))
+    }
+}
+
 /// How a worker's execution of one job ended.
 enum Outcome {
     Done,
@@ -74,63 +100,12 @@ enum Outcome {
     Panicked,
 }
 
-/// One waiter's slot for a reply frame. Completed exactly once by a
-/// worker (or the shed path); awaited by the connection task.
-pub(crate) struct Completion {
-    inner: Mutex<CompletionState>,
-}
-
-struct CompletionState {
-    result: Option<String>,
-    waker: Option<Waker>,
-}
-
-impl Completion {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            inner: Mutex::new(CompletionState {
-                result: None,
-                waker: None,
-            }),
-        })
-    }
-
-    fn complete(&self, frame: String) {
-        let waker = {
-            let mut state = self.inner.lock().expect("completion poisoned");
-            state.result = Some(frame);
-            state.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-}
-
-/// Future yielding the reply frame for a submitted job.
-pub(crate) struct CompletionFuture(Arc<Completion>);
-
-impl Future for CompletionFuture {
-    type Output = String;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<String> {
-        let mut state = self.0.inner.lock().expect("completion poisoned");
-        match state.result.take() {
-            Some(frame) => Poll::Ready(frame),
-            None => {
-                state.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
 /// A submission's immediate disposition.
 pub(crate) enum Submitted {
     /// Answered on the spot (cache hit, or the submission was shed).
     Ready(String),
-    /// Work is queued/in flight; await the frame.
-    Pending(CompletionFuture),
+    /// Work is queued/in flight; the frame arrives on this channel.
+    Pending(mpsc::Receiver<String>),
 }
 
 struct QueuedJob {
@@ -143,7 +118,7 @@ struct QueuedJob {
     /// coalesced group runs under its most generous member's deadline.
     deadline: Option<(Instant, u64)>,
     enqueued_at: Instant,
-    waiters: Vec<Arc<Completion>>,
+    waiters: Vec<mpsc::Sender<String>>,
 }
 
 /// What a worker executes.
@@ -164,13 +139,13 @@ struct Inner {
     queued_total: usize,
     /// Executing work: digest → canonical bytes plus the waiters late
     /// joiners attach to.
-    inflight: HashMap<String, (String, Vec<Arc<Completion>>)>,
+    inflight: HashMap<String, (String, Vec<mpsc::Sender<String>>)>,
     cache: ResultCache,
     stats: ServerStats,
     shutdown: bool,
 }
 
-/// The shared scheduler: submissions enter on the reactor thread,
+/// The shared scheduler: submissions enter on connection threads,
 /// workers drain on their own threads.
 pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
@@ -196,8 +171,8 @@ impl Scheduler {
         }
     }
 
-    /// Submits one job. Runs on the reactor thread; never blocks on
-    /// job execution.
+    /// Submits one job. Never blocks on job execution: a queued job's
+    /// frame arrives later on the returned channel.
     pub(crate) fn submit(
         &self,
         tenant: &str,
@@ -234,8 +209,8 @@ impl Scheduler {
                     "job digest collided with different queued work; resubmit later",
                 ));
             }
-            let waiter = Completion::new();
-            job.waiters.push(Arc::clone(&waiter));
+            let (waiter, reply) = mpsc::channel();
+            job.waiters.push(waiter);
             // The group relaxes to its most generous member: any
             // no-deadline waiter keeps the job alive indefinitely.
             job.deadline = match (job.deadline, deadline) {
@@ -243,7 +218,7 @@ impl Scheduler {
                 _ => None,
             };
             inner.stats.coalesced += 1;
-            return Submitted::Pending(CompletionFuture(waiter));
+            return Submitted::Pending(reply);
         }
         // Coalesce with identical executing work.
         if let Some((canonical, waiters)) = inner.inflight.get_mut(&key.digest) {
@@ -252,10 +227,10 @@ impl Scheduler {
                     "job digest collided with different executing work; resubmit later",
                 ));
             }
-            let waiter = Completion::new();
-            waiters.push(Arc::clone(&waiter));
+            let (waiter, reply) = mpsc::channel();
+            waiters.push(waiter);
             inner.stats.coalesced += 1;
-            return Submitted::Pending(CompletionFuture(waiter));
+            return Submitted::Pending(reply);
         }
 
         inner.stats.cache_misses += 1;
@@ -279,7 +254,7 @@ impl Scheduler {
             evicted = self.evict_lowest_locked(&mut inner, lowest);
         }
 
-        let waiter = Completion::new();
+        let (waiter, reply) = mpsc::channel();
         let job = QueuedJob {
             canonical: key.canonical.clone(),
             request,
@@ -288,7 +263,7 @@ impl Scheduler {
             priority,
             deadline,
             enqueued_at: Instant::now(),
-            waiters: vec![Arc::clone(&waiter)],
+            waiters: vec![waiter],
         };
         inner.queued.insert(key.digest.clone(), job);
         let t_idx = match inner.tenant_queues.iter().position(|(t, _)| t == tenant) {
@@ -307,14 +282,12 @@ impl Scheduler {
             let depth = inner.queued_total;
             let frame = shed_frame(&job.tenant, job.priority, depth);
             drop(inner);
-            for w in job.waiters {
-                w.complete(frame.clone());
-            }
+            complete(&job.waiters, &frame);
         } else {
             drop(inner);
         }
         self.work.notify_one();
-        Submitted::Pending(CompletionFuture(waiter))
+        Submitted::Pending(reply)
     }
 
     /// Removes the oldest queued job at priority `lowest` (scanning
@@ -363,9 +336,7 @@ impl Scheduler {
                                     deadline_ms,
                                     job.enqueued_at.elapsed().as_millis() as u64,
                                 );
-                                for w in &job.waiters {
-                                    w.complete(frame.clone());
-                                }
+                                complete(&job.waiters, &frame);
                                 continue 'scan;
                             }
                         }
@@ -413,14 +384,16 @@ impl Scheduler {
                 .map(|(_, waiters)| waiters)
                 .unwrap_or_default()
         };
-        for w in waiters {
-            w.complete(frame.clone());
-        }
+        complete(&waiters, &frame);
     }
 
     /// Records a connection killed by an idle timeout.
     pub(crate) fn note_timeout(&self) {
-        self.inner.lock().expect("scheduler poisoned").stats.timeouts += 1;
+        self.inner
+            .lock()
+            .expect("scheduler poisoned")
+            .stats
+            .timeouts += 1;
     }
 
     /// Records a connection refused at the max-connections cap.
@@ -465,6 +438,15 @@ impl Scheduler {
     #[cfg(test)]
     fn cache_len(&self) -> usize {
         self.inner.lock().expect("scheduler poisoned").cache.len()
+    }
+}
+
+/// Hands every waiter of one job the same frame. A waiter whose
+/// connection already closed has dropped its receiver; its copy is
+/// simply discarded.
+fn complete(waiters: &[mpsc::Sender<String>], frame: &str) {
+    for w in waiters {
+        let _ = w.send(frame.to_string());
     }
 }
 
@@ -528,39 +510,7 @@ mod tests {
     use openserdes_core::job::{DesignSpec, SweepSpec};
     use openserdes_core::LinkConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
-
-    fn block_on_frame(fut: CompletionFuture) -> String {
-        // Tiny synchronous executor for one CompletionFuture.
-        struct Flag(Mutex<bool>, Condvar);
-        impl std::task::Wake for Flag {
-            fn wake(self: Arc<Self>) {
-                *self.0.lock().expect("flag") = true;
-                self.1.notify_one();
-            }
-        }
-        let flag = Arc::new(Flag(Mutex::new(false), Condvar::new()));
-        let waker = Waker::from(Arc::clone(&flag));
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = Box::pin(fut);
-        loop {
-            if let Poll::Ready(frame) = fut.as_mut().poll(&mut cx) {
-                return frame;
-            }
-            let mut woke = flag.0.lock().expect("flag");
-            while !*woke {
-                let (guard, timeout) = flag
-                    .1
-                    .wait_timeout(woke, Duration::from_millis(50))
-                    .expect("flag");
-                woke = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            *woke = false;
-        }
-    }
+    use std::sync::Arc;
 
     fn lint_request() -> Request {
         Request::Lint {
@@ -595,8 +545,8 @@ mod tests {
                 run_worker(&sched, 1);
             })
         };
-        let frame_a = block_on_frame(fa);
-        let frame_b = block_on_frame(fb);
+        let frame_a = fa.recv().expect("waiter completed");
+        let frame_b = fb.recv().expect("waiter completed");
         assert_eq!(frame_a, frame_b, "coalesced waiters share bytes");
         // Third submission: exact cache hit, answered inline.
         match sched.submit("t", 1, 7, None, lint_request()) {
@@ -633,7 +583,7 @@ mod tests {
         let high = sched.submit("carol", 9, 3, None, max_loss_request(3.0));
         assert!(matches!(high, Submitted::Pending(_)));
         let low_frame = match low {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.recv().expect("waiter completed"),
             Submitted::Ready(f) => f,
         };
         let reply = wire::parse_reply(&low_frame).expect("parses");
@@ -712,7 +662,7 @@ mod tests {
             })
         };
         let frame_a = match a {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.recv().expect("waiter completed"),
             Submitted::Ready(f) => f,
         };
         assert!(
@@ -720,7 +670,7 @@ mod tests {
             "poisoned job reports as an error frame"
         );
         let frame_b = match b {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.recv().expect("waiter completed"),
             Submitted::Ready(f) => f,
         };
         assert!(
@@ -757,7 +707,7 @@ mod tests {
     fn expired_queued_jobs_retire_at_dequeue_without_burning_a_worker() {
         // No workers running: the job sits queued past its deadline.
         let sched = Scheduler::new(16, 16);
-        let fut = match sched.submit("t", 1, 5, Some(1), max_loss_request(1.0)) {
+        let reply = match sched.submit("t", 1, 5, Some(1), max_loss_request(1.0)) {
             Submitted::Pending(f) => f,
             Submitted::Ready(_) => panic!("should queue"),
         };
@@ -767,7 +717,7 @@ mod tests {
             sched.next_job().is_none(),
             "the expired job is retired during the scan, not handed out"
         );
-        let frame = block_on_frame(fut);
+        let frame = reply.recv().expect("waiter completed");
         match wire::parse_reply(&frame).expect("parses") {
             Ok(Response::DeadlineExceeded(info)) => {
                 assert_eq!(info.tenant, "t");

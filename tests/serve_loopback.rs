@@ -12,19 +12,20 @@
 
 use openserdes::core::job::{DesignSpec, Request, Response, SweepSpec};
 use openserdes::core::LinkConfig;
-use openserdes::fault::{server_campaign, ServerFaultKind};
+use openserdes::fault::server_campaign;
 use openserdes::pdk::units::{Hertz, Time};
 use openserdes::serve::{
-    wire, Client, ClientConfig, ClientError, Server, ServerConfig, ServerStats,
+    chaos, wire, Client, ClientConfig, ClientError, Server, ServerConfig, ServerStats,
 };
 use openserdes::Session;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Binds a loopback server, runs `body` against its address, then
 /// stops it and returns the lifetime stats.
-fn with_server(config: ServerConfig, body: impl FnOnce(std::net::SocketAddr)) -> ServerStats {
+fn with_server(config: ServerConfig, body: impl FnOnce(SocketAddr)) -> ServerStats {
     let server = Server::bind(config).expect("bind loopback server");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
@@ -460,103 +461,138 @@ fn queued_jobs_past_deadline_come_back_typed() {
     assert_eq!(stats.completed, 1, "only the occupier actually ran");
 }
 
-/// Executes one server-plane fault event against a live server — the
-/// loopback driver for the seeded chaos taxonomy. Every arm is bounded
-/// (no unbounded reads) so a hang is a test failure, not a deadlock.
-fn inject(addr: SocketAddr, kind: ServerFaultKind) {
-    match kind {
-        ServerFaultKind::DropMidFrame => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&100u32.to_be_bytes()).expect("prefix");
-            s.write_all(&[0x78; 10]).expect("partial payload");
-            drop(s);
-            std::thread::sleep(Duration::from_millis(30));
+/// Sends one Lint job on a raw connection and waits for its reply, so
+/// the server has certainly accepted and registered the connection.
+fn raw_lint_roundtrip(s: &mut TcpStream, seed: u64) {
+    let envelope = wire::Envelope {
+        tenant: "raw".to_string(),
+        priority: 1,
+        seed,
+        deadline_ms: None,
+        request: Request::Lint {
+            design: DesignSpec::Serializer,
+        },
+    };
+    wire::write_frame_blocking(s, envelope.to_json().as_bytes()).expect("submit");
+    let reply = wire::read_frame_blocking(s)
+        .expect("reply")
+        .expect("frame before close");
+    let text = String::from_utf8(reply).expect("utf8");
+    assert!(matches!(
+        wire::parse_reply(&text).expect("reply parses"),
+        Ok(Response::Lint(_))
+    ));
+}
+
+/// Starts `server` on a thread whose result arrives on a channel, so a
+/// server that never returns fails the test instead of hanging it.
+fn serve_in_background(
+    server: Server,
+) -> mpsc::Receiver<std::io::Result<(ServerStats, openserdes::telemetry::Record)>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.serve());
+    });
+    rx
+}
+
+#[test]
+fn zero_max_connections_still_caps_at_one() {
+    // Each connection holds a thread, so 0 cannot mean unlimited: it
+    // clamps to one, and a second concurrent arrival gets the typed
+    // capacity rejection.
+    let config = ServerConfig {
+        max_connections: 0,
+        ..ServerConfig::default()
+    };
+    let stats = with_server(config, |addr| {
+        let mut first = TcpStream::connect(addr).expect("connect");
+        first
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("bounded read");
+        raw_lint_roundtrip(&mut first, 1);
+
+        let mut second = TcpStream::connect(addr).expect("connect");
+        second
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .expect("bounded read");
+        let reply = wire::read_frame_blocking(&mut second)
+            .expect("typed rejection, not silence")
+            .expect("frame before close");
+        match wire::parse_reply(&String::from_utf8(reply).expect("utf8")).expect("parses") {
+            Err(msg) => assert!(msg.contains("server at connection capacity"), "{msg}"),
+            Ok(other) => panic!("expected a capacity rejection, got {other:?}"),
         }
-        ServerFaultKind::TruncatedFrame { promised } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&promised.to_be_bytes()).expect("prefix");
-            s.write_all(&vec![0x79; (promised / 2) as usize])
-                .expect("half payload");
-            drop(s);
-            std::thread::sleep(Duration::from_millis(30));
-        }
-        ServerFaultKind::OversizedPrefix { announced } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.set_read_timeout(Some(Duration::from_millis(500)))
-                .expect("bounded read");
-            let prefix = announced.min(u64::from(u32::MAX)) as u32;
-            s.write_all(&prefix.to_be_bytes()).expect("hostile prefix");
-            let reply = wire::read_frame_blocking(&mut s)
-                .expect("typed reply")
-                .expect("frame before close");
-            let text = String::from_utf8(reply).expect("utf8");
-            match wire::parse_reply(&text).expect("parses") {
-                Err(msg) => assert!(msg.contains("MAX_FRAME"), "typed: {msg}"),
-                Ok(other) => panic!("expected error frame, got {other:?}"),
-            }
-            assert_eq!(wire::read_frame_blocking(&mut s).expect("close"), None);
-        }
-        ServerFaultKind::StalledReader { hold_ms } => {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&64u32.to_be_bytes()).expect("prefix");
-            s.write_all(b"stall").expect("first bytes");
-            // Hold the frame half-fed past the server's read idle
-            // limit; the server must cut us off, not wait forever.
-            std::thread::sleep(Duration::from_millis(hold_ms));
-            drop(s);
-        }
-        ServerFaultKind::WorkerPanic => {
-            let mut poison = LinkConfig::paper_default();
-            poison.cdr.oversampling = 0;
-            let request = Request::RunLink {
-                config: poison,
-                frames: vec![[7u32; 8]],
-            };
-            let mut client = Client::connect(addr, "chaos-panic").expect("connect");
-            match client.submit(1, 31_337, &request) {
-                Err(ClientError::Server(msg)) => {
-                    assert!(msg.contains("panicked"), "isolated typed: {msg}")
-                }
-                other => panic!("expected isolated panic, got {other:?}"),
-            }
-        }
-        ServerFaultKind::DeadlineStorm { jobs } => {
-            let mut client = Client::connect(addr, "chaos-storm").expect("connect");
-            for i in 0..jobs {
-                match client
-                    .submit_with_deadline(1, 50_000 + i, Some(0), &quick_bathtub(1_000))
-                    .expect("typed reply")
-                {
-                    Response::DeadlineExceeded(info) => assert_eq!(info.deadline_ms, 0),
-                    other => panic!("expected deadline exceeded, got {other:?}"),
-                }
-            }
-        }
-        ServerFaultKind::ConnFlood { conns } => {
-            // Let EOFs from earlier events settle first, so the cap is
-            // filled by exactly these holders and nothing stale.
-            std::thread::sleep(Duration::from_millis(50));
-            let holders: Vec<TcpStream> = (0..4)
-                .map(|_| TcpStream::connect(addr).expect("holder"))
-                .collect();
-            std::thread::sleep(Duration::from_millis(50));
-            for _ in 0..conns {
-                let mut s = TcpStream::connect(addr).expect("flood conn");
-                s.set_read_timeout(Some(Duration::from_millis(500)))
-                    .expect("bounded read");
-                let reply = wire::read_frame_blocking(&mut s)
-                    .expect("typed rejection")
-                    .expect("frame");
-                let text = String::from_utf8(reply).expect("utf8");
-                match wire::parse_reply(&text).expect("parses") {
-                    Err(msg) => assert!(msg.contains("capacity"), "typed: {msg}"),
-                    Ok(other) => panic!("expected typed rejection, got {other:?}"),
-                }
-            }
-            drop(holders);
-            std::thread::sleep(Duration::from_millis(30));
-        }
-    }
+    });
+    assert_eq!(stats.conns_rejected, 1);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn wildcard_bound_server_returns_after_stop() {
+    let server = Server::bind(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServerConfig::default()
+    })
+    .expect("bind wildcard");
+    let port = server.local_addr().expect("local addr").port();
+    let handle = server.handle();
+    let serving = serve_in_background(server);
+    let mut client = Client::connect(("127.0.0.1", port), "wildcard").expect("connect");
+    assert!(matches!(
+        client.submit(1, 3, &quick_bathtub(1_000)).expect("served"),
+        Response::Bathtub(_)
+    ));
+    drop(client);
+    handle.stop();
+    let (stats, _) = serving
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve() returns after stop()")
+        .expect("serve returns cleanly");
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn drain_budget_closes_an_idle_keep_alive_connection() {
+    let drain = Duration::from_millis(200);
+    let server = Server::bind(ServerConfig {
+        drain_ms: drain.as_millis() as u64,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle();
+    let serving = serve_in_background(server);
+
+    // One job, then the connection sits idle between frames and never
+    // closes on its own.
+    let mut idle = TcpStream::connect(addr).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("bounded read");
+    raw_lint_roundtrip(&mut idle, 2);
+
+    let stopped = Instant::now();
+    handle.stop();
+    let (stats, _) = serving
+        .recv_timeout(drain + Duration::from_secs(5))
+        .expect("serve() returns once the drain budget is spent")
+        .expect("serve returns cleanly");
+    let took = stopped.elapsed();
+    assert!(took >= drain, "waited out the drain budget first: {took:?}");
+    assert!(
+        took < drain + Duration::from_millis(1_500),
+        "returned within the budget plus a margin: {took:?}"
+    );
+    assert_eq!(
+        wire::read_frame_blocking(&mut idle).expect("clean EOF"),
+        None,
+        "the drain shut the idle connection down"
+    );
+    assert_eq!(stats.completed, 1);
+    assert_eq!(
+        stats.conn_errors, 0,
+        "an idle close is not a transport error"
+    );
 }
 
 #[test]
@@ -579,7 +615,7 @@ fn chaos_counters_are_deterministic_at_1_2_4_8_workers() {
         let plan = plan.clone();
         let stats = with_server(config, move |addr| {
             for event in plan.events() {
-                inject(addr, event.kind);
+                chaos::inject(addr, event.kind).unwrap_or_else(|e| panic!("{event:?}: {e}"));
             }
             let mut client = Client::connect(addr, "survivor").expect("connect");
             let wire_bytes = client
@@ -592,7 +628,7 @@ fn chaos_counters_are_deterministic_at_1_2_4_8_workers() {
                 .expect("direct submit")
                 .to_canonical_json();
             assert_eq!(wire_bytes, direct_bytes, "survivor bit-identity");
-            // Let async billing of the last connection events settle.
+            // Let the billing of the last connection events settle.
             std::thread::sleep(Duration::from_millis(100));
         });
         all_stats.push(stats);
@@ -607,15 +643,9 @@ fn chaos_counters_are_deterministic_at_1_2_4_8_workers() {
         );
     }
     for (counter, hits) in plan.expected_ledger() {
-        let got = match counter {
-            "serve.conn_errors" => first.conn_errors,
-            "serve.protocol_errors" => first.protocol_errors,
-            "serve.timeouts" => first.timeouts,
-            "serve.panics_isolated" => first.panics_isolated,
-            "serve.deadline_expired" => first.deadline_expired,
-            "serve.conns_rejected" => first.conns_rejected,
-            other => panic!("unknown counter in ledger: {other}"),
-        };
+        let got = first
+            .counter(counter)
+            .expect("ledger names a serve counter");
         assert_eq!(got, hits, "{counter} accounts exactly its injected faults");
     }
     assert_eq!(first.completed, 1, "the survivor job");
