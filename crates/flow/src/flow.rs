@@ -400,6 +400,7 @@ fn run_flow_impl(design: &Design, config: &FlowConfig) -> Result<FlowResult, Flo
         config.anneal_iterations,
     );
     telemetry::counter("flow.anneal_moves", anneal_stats.attempted as u64);
+    telemetry::counter("flow.anneal_pin_visits", anneal_stats.pin_visits);
     drop(place_span);
     log.push(format!(
         "[placement] HPWL {:.1} → {:.1} µm ({} / {} moves accepted)",

@@ -12,6 +12,7 @@ use openserdes_netlist::{CellId, NetId, Netlist};
 use openserdes_pdk::library::Library;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Cell and pin coordinates for one placed netlist.
@@ -50,8 +51,11 @@ pub struct AnnealStats {
     pub final_hpwl: f64,
     /// Number of accepted moves.
     pub accepted: usize,
-    /// Number of attempted moves.
+    /// Number of attempted moves, same-cell draws included.
     pub attempted: usize,
+    /// Pins read by full net-box recomputations, the initial pass
+    /// included: the annealer's deterministic work count.
+    pub pin_visits: u64,
 }
 
 /// Greedy initial placement: BFS order from the primary inputs, packing
@@ -153,56 +157,152 @@ pub fn place_greedy(netlist: &Netlist, library: &Library, floorplan: &Floorplan)
     }
 }
 
-/// Half-perimeter wirelength of one net in µm.
-fn net_hpwl(
-    placement: &Placement,
-    net: NetId,
-    fanout: &[Vec<CellId>],
-    drivers: &[Option<CellId>],
-) -> f64 {
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    let mut pins = 0usize;
-    let mut add = |(x, y): (f64, f64), pins: &mut usize| {
-        min_x = min_x.min(x);
-        max_x = max_x.max(x);
-        min_y = min_y.min(y);
-        max_y = max_y.max(y);
-        *pins += 1;
+/// Pin bounding box of one net: the unit the annealer caches its cost in.
+#[derive(Debug, Clone, Copy)]
+struct PinBox {
+    min_x: f64,
+    max_x: f64,
+    min_y: f64,
+    max_y: f64,
+    pins: u32,
+}
+
+impl PinBox {
+    const EMPTY: PinBox = PinBox {
+        min_x: f64::INFINITY,
+        max_x: f64::NEG_INFINITY,
+        min_y: f64::INFINITY,
+        max_y: f64::NEG_INFINITY,
+        pins: 0,
     };
-    if let Some(driver) = drivers[net.index()] {
-        add(placement.position(driver), &mut pins);
+
+    fn add(&mut self, xy: (f64, f64)) {
+        *self = self.extended(xy);
+        self.pins += 1;
     }
-    if let Some(xy) = placement.io_pin_of[net.index()] {
-        add(xy, &mut pins);
+
+    /// The box grown to cover `(x, y)` with the pin count unchanged: a
+    /// moved pin's new point replaces its old one.
+    fn extended(self, (x, y): (f64, f64)) -> PinBox {
+        PinBox {
+            min_x: self.min_x.min(x),
+            max_x: self.max_x.max(x),
+            min_y: self.min_y.min(y),
+            max_y: self.max_y.max(y),
+            pins: self.pins,
+        }
     }
-    for &sink in &fanout[net.index()] {
-        add(placement.position(sink), &mut pins);
+
+    /// Whether `(x, y)` lies strictly inside on both axes, so that the
+    /// other pins alone still span the whole box.
+    fn strictly_contains(&self, (x, y): (f64, f64)) -> bool {
+        self.min_x < x && x < self.max_x && self.min_y < y && y < self.max_y
     }
-    if pins < 2 {
-        0.0
-    } else {
-        (max_x - min_x) + (max_y - min_y)
+
+    /// Half-perimeter wirelength in µm; zero below two pins.
+    fn hpwl(&self) -> f64 {
+        if self.pins < 2 {
+            0.0
+        } else {
+            (self.max_x - self.min_x) + (self.max_y - self.min_y)
+        }
+    }
+}
+
+/// Every net's cell pins in one flat array: net `i` owns
+/// `cells[start[i]..start[i + 1]]`, its driver first, then one entry per
+/// sink pin (a cell reading the net on two pins appears twice).
+struct NetPins {
+    start: Vec<usize>,
+    cells: Vec<usize>,
+}
+
+impl NetPins {
+    fn new(netlist: &Netlist) -> Self {
+        let fanout = netlist.fanout_table();
+        let drivers = netlist.driver_table();
+        let mut start = Vec::with_capacity(netlist.net_count() + 1);
+        let mut cells = Vec::new();
+        start.push(0);
+        for (driver, sinks) in drivers.iter().zip(&fanout) {
+            cells.extend(driver.map(CellId::index));
+            cells.extend(sinks.iter().map(|c| c.index()));
+            start.push(cells.len());
+        }
+        NetPins { start, cells }
+    }
+
+    /// Recomputes one net's box from every pin, I/O pad included.
+    fn pin_box(&self, net: usize, placement: &Placement) -> PinBox {
+        let mut b = PinBox::EMPTY;
+        if let Some(xy) = placement.io_pin_of[net] {
+            b.add(xy);
+        }
+        for &c in &self.cells[self.start[net]..self.start[net + 1]] {
+            b.add(placement.positions[c]);
+        }
+        b
     }
 }
 
 /// Total HPWL of the placement in µm.
 pub fn hpwl(netlist: &Netlist, placement: &Placement) -> f64 {
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
-    netlist
-        .net_ids()
-        .map(|n| net_hpwl(placement, n, &fanout, &drivers))
+    let pins = NetPins::new(netlist);
+    (0..netlist.net_count())
+        .map(|net| pins.pin_box(net, placement).hpwl())
         .sum()
+}
+
+/// Which of the two swapped cells are pins of an affected net.
+#[derive(Debug, Clone, Copy)]
+enum Touch {
+    A,
+    B,
+    Both,
+}
+
+/// Merges two sorted, deduplicated net lists into `out`, tagging each
+/// net with the side(s) it came from.
+fn merge_nets(a: &[usize], b: &[usize], out: &mut Vec<(usize, Touch)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (None, None) => break,
+            (Some(&x), None) => (x, Touch::A),
+            (None, Some(&y)) => (y, Touch::B),
+            (Some(&x), Some(&y)) => match x.cmp(&y) {
+                Ordering::Less => (x, Touch::A),
+                Ordering::Greater => (y, Touch::B),
+                Ordering::Equal => (x, Touch::Both),
+            },
+        };
+        match next.1 {
+            Touch::A => i += 1,
+            Touch::B => j += 1,
+            Touch::Both => (i, j) = (i + 1, j + 1),
+        }
+        out.push(next);
+    }
 }
 
 /// Refines a placement with simulated annealing over cell-pair swaps.
 ///
 /// Deterministic for a given `seed`. `iterations` is the number of
 /// attempted moves; the temperature decays geometrically from an initial
-/// value derived from the starting HPWL.
+/// value derived from the starting HPWL. `attempted` counts every draw,
+/// including those that pick the same cell twice: such a draw neither
+/// moves a cell nor cools the temperature.
+///
+/// The cost is incremental: each net's pin bounding box is cached and a
+/// swap re-derives only the boxes of nets touching the two cells. A net
+/// holding both cells keeps its box (its set of pin points is
+/// unchanged); a net whose one moved pin sat strictly inside the box
+/// just grows to the new point; anything else is recomputed from its
+/// pins. `min`/`max` are exact and the sums run in the same net order
+/// as a full recomputation, so every cost and decision is bit-identical
+/// to re-walking each affected net (DESIGN.md "Incremental placement
+/// cost").
 pub fn anneal(
     netlist: &Netlist,
     placement: &mut Placement,
@@ -210,30 +310,36 @@ pub fn anneal(
     iterations: usize,
 ) -> AnnealStats {
     let n = netlist.cell_count();
-    let initial = hpwl(netlist, placement);
+    let pins = NetPins::new(netlist);
+    let mut boxes: Vec<PinBox> = (0..netlist.net_count())
+        .map(|net| pins.pin_box(net, placement))
+        .collect();
+    let mut pin_visits: u64 = boxes.iter().map(|b| u64::from(b.pins)).sum();
+    let initial: f64 = boxes.iter().map(PinBox::hpwl).sum();
     if n < 2 || iterations == 0 {
         return AnnealStats {
             initial_hpwl: initial,
             final_hpwl: initial,
             accepted: 0,
             attempted: 0,
+            pin_visits,
         };
     }
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
-    // Nets touching each cell (for incremental cost evaluation).
-    let mut cell_nets: Vec<Vec<NetId>> = vec![Vec::new(); n];
-    for (id, inst) in netlist.instances() {
-        let mut nets: Vec<NetId> = inst.inputs.clone();
-        nets.push(inst.output);
-        if let Some(c) = inst.clock {
-            nets.push(c);
-        }
-        nets.sort_unstable();
-        nets.dedup();
-        cell_nets[id.index()] = nets;
-    }
-    let cells: Vec<CellId> = netlist.cell_ids().collect();
+    // Nets touching each cell, sorted and deduplicated.
+    let cell_nets: Vec<Vec<usize>> = netlist
+        .instances()
+        .map(|(_, inst)| {
+            let mut nets: Vec<usize> = inst.inputs.iter().map(|n| n.index()).collect();
+            nets.push(inst.output.index());
+            nets.extend(inst.clock.map(NetId::index));
+            nets.sort_unstable();
+            nets.dedup();
+            nets
+        })
+        .collect();
+    // Buffers reused by every move: the affected nets and their new boxes.
+    let mut affected: Vec<(usize, Touch)> = Vec::new();
+    let mut moved: Vec<PinBox> = Vec::new();
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cost = initial;
@@ -242,32 +348,44 @@ pub fn anneal(
     let mut accepted = 0usize;
 
     for _ in 0..iterations {
-        let a = cells[rng.gen_range(0..n)];
-        let b = cells[rng.gen_range(0..n)];
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
         if a == b {
             continue;
         }
-        // Cost of affected nets before the swap.
-        let mut affected: Vec<NetId> = cell_nets[a.index()].clone();
-        affected.extend(&cell_nets[b.index()]);
-        affected.sort_unstable();
-        affected.dedup();
-        let before: f64 = affected
-            .iter()
-            .map(|&net| net_hpwl(placement, net, &fanout, &drivers))
-            .sum();
-        placement.positions.swap(a.index(), b.index());
-        let after: f64 = affected
-            .iter()
-            .map(|&net| net_hpwl(placement, net, &fanout, &drivers))
-            .sum();
+        merge_nets(&cell_nets[a], &cell_nets[b], &mut affected);
+        let before: f64 = affected.iter().map(|&(net, _)| boxes[net].hpwl()).sum();
+        placement.positions.swap(a, b);
+        moved.clear();
+        for &(net, touch) in &affected {
+            let old = boxes[net];
+            // The moved pin's old point is where the other cell now sits.
+            let (from, to) = match touch {
+                Touch::Both => {
+                    moved.push(old);
+                    continue;
+                }
+                Touch::A => (placement.positions[b], placement.positions[a]),
+                Touch::B => (placement.positions[a], placement.positions[b]),
+            };
+            moved.push(if old.strictly_contains(from) {
+                old.extended(to)
+            } else {
+                pin_visits += u64::from(old.pins);
+                pins.pin_box(net, placement)
+            });
+        }
+        let after: f64 = moved.iter().map(PinBox::hpwl).sum();
         let delta = after - before;
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
         if accept {
             cost += delta;
             accepted += 1;
+            for (&(net, _), &new) in affected.iter().zip(&moved) {
+                boxes[net] = new;
+            }
         } else {
-            placement.positions.swap(a.index(), b.index());
+            placement.positions.swap(a, b);
         }
         temp *= cooling;
     }
@@ -277,6 +395,7 @@ pub fn anneal(
         final_hpwl: cost,
         accepted,
         attempted: iterations,
+        pin_visits,
     }
 }
 
@@ -299,11 +418,190 @@ mod tests {
     }
 
     fn setup(n: usize) -> (Netlist, Library, Floorplan) {
-        let nl = chain(n);
+        floorplanned(chain(n))
+    }
+
+    fn floorplanned(nl: Netlist) -> (Netlist, Library, Floorplan) {
         let lib = Library::sky130(Pvt::nominal());
         let stats = openserdes_netlist::NetlistStats::compute(&nl, &lib);
         let fp = Floorplan::for_area(stats.area, 0.6, 1.0);
         (nl, lib, fp)
+    }
+
+    /// A clocked register bank built to hit every branch of the
+    /// incremental cost: `flops` flops on one clock net, a mux per stage
+    /// whose select is one high-fanout enable net, a cell reading the
+    /// same net on both inputs, primary I/O pins, and whole rows of
+    /// cells sharing a y coordinate with the box boundary.
+    fn register_bank(flops: usize) -> Netlist {
+        let mut nl = Netlist::new("bank");
+        let clk = nl.add_input("clk");
+        let en = nl.add_input("en");
+        let mut q = nl.add_input("d");
+        for i in 0..flops {
+            let hold = nl.gate(LogicFn::Inv, DriveStrength::X1, &[q]);
+            let d = nl.gate(LogicFn::Mux2, DriveStrength::X1, &[hold, q, en]);
+            q = nl.dff(d, clk, DriveStrength::X1);
+            if i % 5 == 4 {
+                nl.mark_output(format!("q{i}"), q);
+            }
+        }
+        let both = nl.gate(LogicFn::Xor2, DriveStrength::X1, &[q, q]);
+        nl.mark_output("y", both);
+        nl
+    }
+
+    /// Half-perimeter wirelength of one net, from every pin, counting
+    /// the pins it reads into `visits`.
+    fn net_hpwl(
+        placement: &Placement,
+        net: NetId,
+        fanout: &[Vec<CellId>],
+        drivers: &[Option<CellId>],
+        visits: &mut u64,
+    ) -> f64 {
+        let mut min_x = f64::INFINITY;
+        let mut max_x = f64::NEG_INFINITY;
+        let mut min_y = f64::INFINITY;
+        let mut max_y = f64::NEG_INFINITY;
+        let mut pins = 0usize;
+        let mut add = |(x, y): (f64, f64), pins: &mut usize| {
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
+            min_y = min_y.min(y);
+            max_y = max_y.max(y);
+            *pins += 1;
+        };
+        if let Some(driver) = drivers[net.index()] {
+            add(placement.position(driver), &mut pins);
+        }
+        if let Some(xy) = placement.io_pin_of[net.index()] {
+            add(xy, &mut pins);
+        }
+        for &sink in &fanout[net.index()] {
+            add(placement.position(sink), &mut pins);
+        }
+        *visits += pins as u64;
+        if pins < 2 {
+            0.0
+        } else {
+            (max_x - min_x) + (max_y - min_y)
+        }
+    }
+
+    /// The annealer without a cache: every affected net re-walked from
+    /// its pins before and after each swap. The oracle `anneal` must
+    /// match bit for bit.
+    fn anneal_full_recompute(
+        netlist: &Netlist,
+        placement: &mut Placement,
+        seed: u64,
+        iterations: usize,
+    ) -> AnnealStats {
+        let n = netlist.cell_count();
+        let fanout = netlist.fanout_table();
+        let drivers = netlist.driver_table();
+        let mut pin_visits = 0u64;
+        let initial: f64 = netlist
+            .net_ids()
+            .map(|net| net_hpwl(placement, net, &fanout, &drivers, &mut pin_visits))
+            .sum();
+        if n < 2 || iterations == 0 {
+            return AnnealStats {
+                initial_hpwl: initial,
+                final_hpwl: initial,
+                accepted: 0,
+                attempted: 0,
+                pin_visits,
+            };
+        }
+        let mut cell_nets: Vec<Vec<NetId>> = vec![Vec::new(); n];
+        for (id, inst) in netlist.instances() {
+            let mut nets: Vec<NetId> = inst.inputs.clone();
+            nets.push(inst.output);
+            if let Some(c) = inst.clock {
+                nets.push(c);
+            }
+            nets.sort_unstable();
+            nets.dedup();
+            cell_nets[id.index()] = nets;
+        }
+        let cells: Vec<CellId> = netlist.cell_ids().collect();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cost = initial;
+        let mut temp = (initial / n as f64).max(1.0);
+        let cooling = 0.999_f64.powf(1000.0 / iterations.max(1) as f64);
+        let mut accepted = 0usize;
+
+        for _ in 0..iterations {
+            let a = cells[rng.gen_range(0..n)];
+            let b = cells[rng.gen_range(0..n)];
+            if a == b {
+                continue;
+            }
+            let mut affected: Vec<NetId> = cell_nets[a.index()].clone();
+            affected.extend(&cell_nets[b.index()]);
+            affected.sort_unstable();
+            affected.dedup();
+            let before: f64 = affected
+                .iter()
+                .map(|&net| net_hpwl(placement, net, &fanout, &drivers, &mut pin_visits))
+                .sum();
+            placement.positions.swap(a.index(), b.index());
+            let after: f64 = affected
+                .iter()
+                .map(|&net| net_hpwl(placement, net, &fanout, &drivers, &mut pin_visits))
+                .sum();
+            let delta = after - before;
+            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
+            if accept {
+                cost += delta;
+                accepted += 1;
+            } else {
+                placement.positions.swap(a.index(), b.index());
+            }
+            temp *= cooling;
+        }
+
+        AnnealStats {
+            initial_hpwl: initial,
+            final_hpwl: cost,
+            accepted,
+            attempted: iterations,
+            pin_visits,
+        }
+    }
+
+    /// Runs `anneal` and the oracle from the same start and asserts
+    /// bit-identical positions and stats; returns both pin-visit counts
+    /// (incremental, full).
+    fn assert_matches_oracle(
+        nl: &Netlist,
+        start: &Placement,
+        seed: u64,
+        iterations: usize,
+    ) -> (u64, u64) {
+        let (mut fast, mut slow) = (start.clone(), start.clone());
+        let got = anneal(nl, &mut fast, seed, iterations);
+        let want = anneal_full_recompute(nl, &mut slow, seed, iterations);
+        let at = format!("{} cells, seed {seed}, {iterations} moves", nl.cell_count());
+        assert_eq!(
+            got.initial_hpwl.to_bits(),
+            want.initial_hpwl.to_bits(),
+            "{at}"
+        );
+        assert_eq!(got.final_hpwl.to_bits(), want.final_hpwl.to_bits(), "{at}");
+        assert_eq!(got.accepted, want.accepted, "{at}");
+        assert_eq!(got.attempted, want.attempted, "{at}");
+        let bits = |p: &Placement| -> Vec<(u64, u64)> {
+            p.positions
+                .iter()
+                .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&fast), bits(&slow), "{at}: positions");
+        (got.pin_visits, want.pin_visits)
     }
 
     #[test]
@@ -385,5 +683,30 @@ mod tests {
         assert_eq!(pins.len(), 2); // one input, one output
         assert_eq!(pins[0].1 .0, 0.0);
         assert!((pins[1].1 .0 - fp.width.value()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn anneal_is_bit_identical_to_full_recompute() {
+        for nl in [register_bank(40), chain(2)] {
+            let (nl, lib, fp) = floorplanned(nl);
+            let greedy = place_greedy(&nl, &lib, &fp);
+            let mut shuffled = greedy.clone();
+            let n = nl.cell_count();
+            for i in 0..n {
+                shuffled.positions.swap(i, (i * 7 + 3) % n);
+            }
+            for start in [&greedy, &shuffled] {
+                for seed in [1, 7, 42, 2024] {
+                    for iterations in [0, 1, 2, 50, 3_000] {
+                        assert_matches_oracle(&nl, start, seed, iterations);
+                    }
+                }
+            }
+        }
+        // The cache must actually save work on a clocked design.
+        let (nl, lib, fp) = floorplanned(register_bank(40));
+        let greedy = place_greedy(&nl, &lib, &fp);
+        let (fast, full) = assert_matches_oracle(&nl, &greedy, 3, 3_000);
+        assert!(fast < full / 2, "pin visits {fast} vs full {full}");
     }
 }

@@ -48,11 +48,12 @@ fn span_tree(node: &SpanNode, depth: usize, parent_ns: Option<u64>, out: &mut St
         .unwrap_or_default();
     let _ = writeln!(
         out,
-        "{:indent$}{:<30} {:>8}x {:>12.3} ms{}",
+        "{:indent$}{:<30} {:>8}x {:>12.3} ms {:>12.3} ms self{}",
         "",
         node.name,
         node.count,
         node.total_ms(),
+        node.self_ns() as f64 / 1e6,
         pct,
         indent = 2 * depth
     );
@@ -63,8 +64,8 @@ fn span_tree(node: &SpanNode, depth: usize, parent_ns: Option<u64>, out: &mut St
 
 impl Record {
     /// Renders the record as an indented human-readable report: the
-    /// span tree with per-node counts, total times and share of the
-    /// parent, then counters, then histogram summaries.
+    /// span tree with per-node counts, total and self times and share of
+    /// the parent, then counters, then histogram summaries.
     pub fn to_tree_string(&self) -> String {
         let mut out = String::new();
         if !self.spans.is_empty() {
@@ -213,6 +214,25 @@ mod tests {
         assert!(s.contains("counters:"));
         assert!(s.contains("bits"));
         assert!(s.contains("histograms:"));
+    }
+
+    #[test]
+    fn tree_report_shows_self_time() {
+        let mut rec = sample();
+        rec.spans[0].total_ns = 3_000_000;
+        let s = rec.to_tree_string();
+        let line = |name: &str| {
+            s.lines()
+                .find(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} line in {s}"))
+                .to_string()
+        };
+        // The parent's self time excludes its child; a leaf's is its total.
+        assert!(line("run").contains("3.000 ms        2.000 ms self"), "{s}");
+        assert!(
+            line("stage").contains("1.000 ms        1.000 ms self"),
+            "{s}"
+        );
     }
 
     #[test]

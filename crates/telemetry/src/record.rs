@@ -142,6 +142,17 @@ impl SpanNode {
         self.total_ns as f64 / 1e6
     }
 
+    /// Self time in nanoseconds: the total minus the children's totals,
+    /// i.e. the time no child span accounts for. Saturates at zero when
+    /// the children's clocks overlap past the parent's.
+    pub fn self_ns(&self) -> u64 {
+        let children = self
+            .children
+            .iter()
+            .fold(0u64, |acc, c| acc.saturating_add(c.total_ns));
+        self.total_ns.saturating_sub(children)
+    }
+
     /// Finds a direct child by name.
     pub fn child(&self, name: &str) -> Option<&SpanNode> {
         self.children.iter().find(|c| c.name == name)
@@ -412,5 +423,25 @@ mod tests {
         b.counters.insert("c", 8);
         // counters replaced: digest differs
         assert_ne!(a.deterministic_digest(), b.deterministic_digest());
+    }
+
+    #[test]
+    fn self_time_subtracts_children_and_saturates() {
+        let leaf = |total_ns| SpanNode {
+            name: "c",
+            count: 1,
+            total_ns,
+            children: vec![],
+        };
+        let mut parent = SpanNode {
+            name: "p",
+            count: 1,
+            total_ns: 1_000,
+            children: vec![leaf(300), leaf(200)],
+        };
+        assert_eq!(parent.self_ns(), 500);
+        assert_eq!(parent.children[0].self_ns(), 300);
+        parent.children.push(leaf(u64::MAX));
+        assert_eq!(parent.self_ns(), 0);
     }
 }
