@@ -35,19 +35,6 @@ impl Circuit {
     }
 }
 
-/// Runs every `AN0xx` check over `circuit` and returns the report.
-/// `design` names the circuit in the report (a [`Circuit`] itself is
-/// anonymous).
-///
-/// # Deprecated
-///
-/// The same engine is reachable as the inherent [`Circuit::lint`]
-/// method.
-#[deprecated(note = "use `Circuit::lint`")]
-pub fn lint(circuit: &Circuit, design: &str, config: &LintConfig) -> LintReport {
-    lint_circuit(circuit, design, config)
-}
-
 fn lint_circuit(circuit: &Circuit, design: &str, config: &LintConfig) -> LintReport {
     let mut report = LintReport::new(design, "analog");
     check_elements(circuit, config, &mut report);

@@ -222,6 +222,12 @@ where
         let mut node = 0usize;
         while node < nodes {
             let mid = probes[node];
+            if mid <= lo || mid >= hi {
+                // Adjacent floats: the bracket cannot shrink any
+                // further, so a `tol` at or below one ulp stops here
+                // instead of looping forever.
+                return Ok((lo, hi));
+            }
             let (verdict, rec) = verdicts[node].take().expect("each node visited once");
             telemetry::absorb(rec);
             match verdict? {

@@ -196,25 +196,6 @@ impl TransientConfig {
         self
     }
 
-    /// A configuration with fixed 1 ps steps up to `t_end`.
-    #[deprecated(note = "use `TransientConfig::until`")]
-    pub fn to(t_end: f64) -> Self {
-        Self::until(t_end)
-    }
-
-    /// Same but with an explicit fixed timestep.
-    #[deprecated(note = "use `TransientConfig::until(..).with_fixed_dt(..)`")]
-    pub fn with_dt(t_end: f64, dt: f64) -> Self {
-        Self::until(t_end).with_fixed_dt(dt)
-    }
-
-    /// An adaptive-step configuration; the output waveform grid is
-    /// `dt_min`.
-    #[deprecated(note = "use `TransientConfig::until(..).with_adaptive_steps(..)`")]
-    pub fn adaptive(t_end: f64, dt_min: f64, dt_max: f64, lte_tol: f64) -> Self {
-        Self::until(t_end).with_adaptive_steps(dt_min, dt_max, lte_tol)
-    }
-
     /// The uniform output-grid pitch the run produces: the fixed step,
     /// or `dt_min` for adaptive runs.
     pub fn out_dt(&self) -> f64 {
@@ -602,101 +583,6 @@ impl StampPlan {
             linear,
         }
     }
-
-    /// Assembles the residual (always) and the Jacobian (when `jac` is
-    /// given) at the operating point `v`, in place. Stamp application
-    /// order matches the historical assembler exactly, so the filled
-    /// values are bit-identical to the old `build()`.
-    fn assemble(
-        &self,
-        v: &[f64],
-        prev_dt: Option<(&[f64], f64)>,
-        gmin: f64,
-        res: &mut [f64],
-        mut jac: Option<&mut [f64]>,
-    ) {
-        res.fill(0.0);
-        if let Some(j) = jac.as_deref_mut() {
-            j.fill(0.0);
-        }
-        let add_res = |res: &mut [f64], slot: usize, x: f64| {
-            if slot != ABSENT {
-                res[slot] += x;
-            }
-        };
-        let add_jac = |jac: &mut Option<&mut [f64]>, slot: usize, x: f64| {
-            if slot != ABSENT {
-                if let Some(j) = jac.as_deref_mut() {
-                    j[slot] += x;
-                }
-            }
-        };
-        let pair_stamp =
-            |res: &mut [f64], jac: &mut Option<&mut [f64]>, p: &PairSlots, g: f64, i: f64| {
-                add_res(res, p.res_a, i);
-                add_res(res, p.res_b, -i);
-                add_jac(jac, p.jaa, g);
-                add_jac(jac, p.jab, -g);
-                add_jac(jac, p.jba, -g);
-                add_jac(jac, p.jbb, g);
-            };
-
-        for stamp in &self.stamps {
-            match *stamp {
-                Stamp::Conductance { g, ref p } => {
-                    let i = (v[p.a] - v[p.b]) * g;
-                    pair_stamp(res, &mut jac, p, g, i);
-                }
-                Stamp::Capacitor { farads, ref p } => {
-                    if let Some((prev, dt)) = prev_dt {
-                        let g = farads / dt;
-                        let vbr = v[p.a] - v[p.b];
-                        let vbr_prev = prev[p.a] - prev[p.b];
-                        let i = g * (vbr - vbr_prev);
-                        pair_stamp(res, &mut jac, p, g, i);
-                    }
-                }
-                Stamp::Mos {
-                    ref device,
-                    nmos,
-                    d,
-                    g,
-                    s,
-                    res0,
-                    res1,
-                    jac: ref j,
-                } => {
-                    let (vd, vg, vs) = (v[d], v[g], v[s]);
-                    // Same terminal convention as the historical
-                    // assembler: NMOS conducts d→s, PMOS s→d.
-                    let e = if nmos {
-                        device.eval(vg - vs, vd - vs)
-                    } else {
-                        device.eval(vs - vg, vs - vd)
-                    };
-                    add_res(res, res0, e.id);
-                    add_res(res, res1, -e.id);
-                    let gsum = e.gm + e.gds;
-                    let vals = if nmos {
-                        [e.gds, e.gm, -gsum, -e.gds, -e.gm, gsum]
-                    } else {
-                        [gsum, -e.gm, -e.gds, -gsum, e.gm, e.gds]
-                    };
-                    for (slot, val) in j.iter().zip(vals) {
-                        add_jac(&mut jac, *slot, val);
-                    }
-                }
-            }
-        }
-
-        // gmin to ground stabilizes floating/self-biased nodes.
-        for &(node_idx, res_i, diag) in &self.gmin_rows {
-            res[res_i] += gmin * v[node_idx];
-            if let Some(j) = jac.as_deref_mut() {
-                j[diag] += gmin;
-            }
-        }
-    }
 }
 
 /// One cached LU factorization with the `(dt, gmin)` key it was
@@ -716,16 +602,12 @@ struct LuBank {
     gmin: u64,
 }
 
-/// Reusable flat buffers for one solver: two LU banks (Jacobians
-/// factorized in place) and the residual/solution vector. Two banks
-/// because the step-doubling transient solves at `h` and `h/2` in
+/// One point's LU cache: two banks (Jacobians factorized in place).
+/// Two because the step-doubling transient solves at `h` and `h/2` in
 /// alternation — with a single cache each would evict the other every
 /// composite step. Sized once per topology; no solve allocates.
 #[derive(Debug, Clone)]
 struct Workspace {
-    n: usize,
-    /// Residual in, Newton update out (solved in place).
-    rhs: Vec<f64>,
     banks: [LuBank; 2],
     /// Most-recently-used bank; the other one is the eviction target.
     mru: usize,
@@ -741,8 +623,6 @@ impl Workspace {
             gmin: 0,
         };
         Self {
-            n,
-            rhs: vec![0.0; n],
             banks: [bank.clone(), bank],
             mru: 0,
         }
@@ -853,55 +733,26 @@ fn lu_solve(a: &[f64], piv: &[usize], n: usize, b: &mut [f64]) {
     }
 }
 
-/// Gmin ladder used by the robust DC solve.
-const DC_LADDER: [f64; 8] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 3e-12, 1e-12];
-/// A step whose Newton solve needed this many iterations invalidates
-/// the cached LU (the operating point moved a lot).
-const SLOW_STEP_ITERS: usize = 10;
-/// Source jump across a step (volts) that invalidates the cached LU.
-/// Device transconductances vary on a ~VDD/10 scale, so smaller ramps
-/// leave the stale Jacobian a good Newton matrix.
-const SOURCE_JUMP_V: f64 = 0.15;
-/// A damped Newton update below this magnitude (volts) leaves the MOS
-/// small-signal parameters within a modest factor of the cached
-/// Jacobian's (`gm` varies on the thermal-voltage scale, ~e^(dv/35mV)
-/// in subthreshold), so the next iteration may ride the stale LU and
-/// still contract strongly. Above it, refactorize — a bad Newton matrix
-/// costs whole extra device-evaluation passes, which is the dominant
-/// expense on these small MNA systems.
-const JAC_STALE_DV: f64 = 0.02;
-/// Consecutive stale-LU iterations allowed before a mandatory
-/// refactorization, bounding how far modified Newton can drift from the
-/// quadratic path.
-const JAC_STALE_RUN: usize = 2;
-
-/// A reusable solver bound to one circuit: compiled stamp plan,
-/// workspace and accumulated [`SolverStats`]. The free functions
-/// ([`transient`], [`dc_operating_point`], …) construct one per call;
-/// hold a `Solver` yourself to amortize the plan across repeated
-/// solves (sweeps do).
+/// A reusable solver bound to one circuit: the compiled stamp plan and
+/// the [`SolverStats`] accumulated across its solves. Every solve runs
+/// on the lockstep engine in [`batched`]; the plain entry points are
+/// batches of one point. The free functions ([`transient`],
+/// [`dc_operating_point`], …) construct one per call; hold a `Solver`
+/// yourself to amortize the plan across repeated solves.
 #[derive(Debug, Clone)]
 pub struct Solver<'c> {
     circuit: &'c Circuit,
     plan: StampPlan,
-    ws: Workspace,
     stats: SolverStats,
-    /// `(source index, value)` override used by DC sweeps in place of
-    /// cloning the circuit per point.
-    source_override: Option<(usize, f64)>,
 }
 
 impl<'c> Solver<'c> {
-    /// Compiles the circuit's stamp plan and sizes the workspace.
+    /// Compiles the circuit's stamp plan.
     pub fn new(circuit: &'c Circuit) -> Self {
-        let plan = StampPlan::new(circuit);
-        let ws = Workspace::new(plan.n_unknown);
         Self {
             circuit,
-            plan,
-            ws,
+            plan: StampPlan::new(circuit),
             stats: SolverStats::default(),
-            source_override: None,
         }
     }
 
@@ -910,469 +761,17 @@ impl<'c> Solver<'c> {
         &self.stats
     }
 
-    /// Overrides source `index`'s value for subsequent solves (DC
-    /// sweeps); `None` restores the circuit's own stimulus.
-    pub fn set_source_override(&mut self, over: Option<(usize, f64)>) {
-        self.source_override = over;
-    }
-
-    fn source_value(&self, i: usize, stim: &crate::circuit::Stimulus, t: f64) -> f64 {
-        match self.source_override {
-            Some((idx, val)) if idx == i => val,
-            _ => stim.value_at(t),
-        }
-    }
-
-    /// Fills known node voltages into `v` for time `t`.
-    fn apply_sources(&self, v: &mut [f64], t: f64) {
-        v[0] = 0.0;
-        for (i, (node, stim)) in self.circuit.sources().iter().enumerate() {
-            v[node.index()] = self.source_value(i, stim, t);
-        }
-    }
-
-    /// Fills known node voltages with every source lerped between its
-    /// values at `t0` and `t1`: `(1-alpha)·v(t0) + alpha·v(t1)`. The
-    /// source-stepping recovery rung walks `alpha` from 0 to 1 so a
-    /// step change too violent for one Newton solve becomes a short
-    /// continuation.
-    fn apply_sources_blend(&self, v: &mut [f64], t0: f64, t1: f64, alpha: f64) {
-        v[0] = 0.0;
-        for (i, (node, stim)) in self.circuit.sources().iter().enumerate() {
-            let a = self.source_value(i, stim, t0);
-            let b = self.source_value(i, stim, t1);
-            v[node.index()] = a + alpha * (b - a);
-        }
-    }
-
-    /// Builds the enriched [`SolverError::NonConvergence`]: assembles
-    /// the residual at the abandoned operating point `v` and names the
-    /// node with the largest `|F|` entry. Runs only on the failure
-    /// path, so the extra device-evaluation pass costs nothing in
-    /// converging solves (and is deliberately left out of
-    /// [`SolverStats`] — it is diagnostics, not solver work).
-    fn nonconvergence(
-        &mut self,
-        v: &[f64],
-        prev_dt: Option<(&[f64], f64)>,
-        gmin: f64,
-        iterations: u64,
-        time: f64,
-    ) -> SolverError {
-        self.plan.assemble(v, prev_dt, gmin, &mut self.ws.rhs, None);
-        let mut worst_slot = None;
-        let mut worst_abs = 0.0f64;
-        for (slot, &r) in self.ws.rhs.iter().enumerate() {
-            if r.abs() > worst_abs {
-                worst_abs = r.abs();
-                worst_slot = Some(slot);
-            }
-        }
-        let worst_node = worst_slot.and_then(|slot| {
-            self.plan
-                .index
-                .iter()
-                .position(|&s| s == Some(slot))
-                .map(|node_idx| self.circuit.node_name(Node(node_idx)).to_string())
-        });
-        SolverError::NonConvergence {
-            time,
-            iterations,
-            worst_node,
-        }
-    }
-
-    /// Largest source magnitude at `t` (the historical mid-supply
-    /// guess is half of it).
-    fn max_source_abs(&self, t: f64) -> f64 {
-        self.circuit
-            .sources()
-            .iter()
-            .enumerate()
-            .map(|(i, (_, s))| self.source_value(i, s, t).abs())
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Largest source value change between `t0` and `t1`.
-    fn source_jump(&self, t0: f64, t1: f64) -> f64 {
-        self.circuit
-            .sources()
-            .iter()
-            .enumerate()
-            .map(|(i, (_, s))| (self.source_value(i, s, t1) - self.source_value(i, s, t0)).abs())
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Assembles, factorizes into `bank` and records the LU cache key.
-    fn refactorize(
-        &mut self,
-        v: &[f64],
-        prev_dt: Option<(&[f64], f64)>,
-        gmin: f64,
-        time: f64,
-        bank: usize,
-    ) -> Result<(), SolverError> {
-        self.plan.assemble(
-            v,
-            prev_dt,
-            gmin,
-            &mut self.ws.rhs,
-            Some(&mut self.ws.banks[bank].a),
-        );
-        self.stats.residual_builds += 1;
-        self.stats.jacobian_builds += 1;
-        let n = self.ws.n;
-        let b = &mut self.ws.banks[bank];
-        if !factorize(&mut b.a, &mut b.piv, n) {
-            b.valid = false;
-            return Err(SolverError::SingularMatrix { time });
-        }
-        self.stats.factorizations += 1;
-        b.valid = true;
-        b.dt = prev_dt.map_or(0.0, |(_, dt)| dt).to_bits();
-        b.gmin = gmin.to_bits();
-        self.ws.mru = bank;
-        Ok(())
-    }
-
-    /// Applies the damped Newton update to `v`; returns the damped
-    /// update magnitude used for the convergence test.
-    fn apply_update(&mut self, v: &mut [f64]) -> f64 {
-        let dv = &self.ws.rhs;
-        let max_dv = dv.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        let scale = if max_dv > 0.4 { 0.4 / max_dv } else { 1.0 };
-        for (node_idx, &slot) in self.plan.index.iter().enumerate() {
-            if let Some(i) = slot {
-                v[node_idx] += scale * dv[i];
-            }
-        }
-        max_dv * scale
-    }
-
-    /// The non-convergence recovery ladder for transient steps,
-    /// invoked only after the plain Newton solve of the backward-Euler
-    /// step `prev → t` has failed — so a transient in which every step
-    /// converges first try never enters this function and stays
-    /// bit-identical to the historical arithmetic.
-    ///
-    /// Escalation, cheapest first; each rung restarts from `prev`:
-    ///
-    /// 1. **gmin-stepping** — re-solve the same step down a gmin
-    ///    ladder ending at `config.gmin`,
-    /// 2. **source-stepping** — walk the sources from their `t − dt`
-    ///    values to their `t` values in quarter blends, solving at
-    ///    each as a continuation,
-    /// 3. **dt-cut** — integrate the span as four backward-Euler
-    ///    substeps of `dt/4` (a finer discretization of the same span;
-    ///    its endpoint stands in for the failed full step).
-    ///
-    /// On success `v` holds the recovered step solution and the
-    /// winning rung is counted in [`SolverStats`]; when every rung
-    /// fails, the original enriched error is returned.
-    fn recover_step(
-        &mut self,
-        v: &mut [f64],
-        prev: &[f64],
-        dt: f64,
-        t: f64,
-        config: &TransientConfig,
-        err: SolverError,
-    ) -> Result<(), SolverError> {
-        self.stats.recovery_attempts += 1;
-        // A small user Newton budget is often *why* the step failed;
-        // recovery runs with a generous one.
-        let iters = config.max_newton.max(200);
-
-        // Rung 1: gmin-stepping down to the configured gmin.
-        v.copy_from_slice(prev);
-        self.apply_sources(v, t);
-        let mut ok = true;
-        for g in [1e-6, 1e-8, 1e-10, config.gmin] {
-            let g = g.max(config.gmin);
-            if self
-                .newton_full(v, Some((prev, dt)), g, iters, config.tol, t)
-                .is_err()
-            {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            self.stats.recovered_gmin += 1;
-            return Ok(());
-        }
-
-        // Rung 2: source-stepping from the previous step's values.
-        v.copy_from_slice(prev);
-        ok = true;
-        for alpha in [0.25, 0.5, 0.75, 1.0] {
-            self.apply_sources_blend(v, t - dt, t, alpha);
-            if self
-                .newton_full(v, Some((prev, dt)), config.gmin, iters, config.tol, t)
-                .is_err()
-            {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            self.stats.recovered_source += 1;
-            return Ok(());
-        }
-
-        // Rung 3: dt-cut into four backward-Euler substeps.
-        v.copy_from_slice(prev);
-        let sub = 0.25 * dt;
-        let mut sub_prev = prev.to_vec();
-        ok = true;
-        for j in 1..=4u32 {
-            let tj = t - dt + f64::from(j) * sub;
-            self.apply_sources(v, tj);
-            if self
-                .newton_full(
-                    v,
-                    Some((&sub_prev, sub)),
-                    config.gmin,
-                    iters,
-                    config.tol,
-                    tj,
-                )
-                .is_err()
-            {
-                ok = false;
-                break;
-            }
-            sub_prev.copy_from_slice(v);
-        }
-        if ok {
-            self.stats.recovered_dt_cut += 1;
-            return Ok(());
-        }
-
-        Err(err)
-    }
-
-    /// Full Newton: Jacobian rebuilt and refactorized every iteration,
-    /// matching the historical solver's arithmetic bit-for-bit. The
-    /// single deviation: pure-linear circuits reuse the cached LU when
-    /// the `(dt, gmin)` key matches — the matrix would have been
-    /// bit-identical, so the factors are too.
-    fn newton_full(
-        &mut self,
-        v: &mut [f64],
-        prev_dt: Option<(&[f64], f64)>,
-        gmin: f64,
-        max_iter: usize,
-        tol: f64,
-        time: f64,
-    ) -> Result<(), SolverError> {
-        let dt_key = prev_dt.map_or(0.0, |(_, dt)| dt).to_bits();
-        let gmin_key = gmin.to_bits();
-        for _ in 0..max_iter {
-            self.stats.newton_iterations += 1;
-            let hit = if self.plan.linear {
-                self.ws.matching(dt_key, gmin_key)
-            } else {
-                None
-            };
-            let bank = match hit {
-                Some(i) => {
-                    self.plan.assemble(v, prev_dt, gmin, &mut self.ws.rhs, None);
-                    self.stats.residual_builds += 1;
-                    self.stats.factorization_reuses += 1;
-                    self.ws.mru = i;
-                    i
-                }
-                None => {
-                    let b = self.ws.evict_target(dt_key, gmin_key);
-                    self.refactorize(v, prev_dt, gmin, time, b)?;
-                    b
-                }
-            };
-            for r in self.ws.rhs.iter_mut() {
-                *r = -*r;
-            }
-            let b = &self.ws.banks[bank];
-            lu_solve(&b.a, &b.piv, self.ws.n, &mut self.ws.rhs);
-            if self.apply_update(v) < tol {
-                return Ok(());
-            }
-        }
-        Err(self.nonconvergence(v, prev_dt, gmin, max_iter as u64, time))
-    }
-
-    /// Modified Newton for the adaptive path. The measured cost model
-    /// on these small MNA systems is blunt: device evaluation dominates
-    /// every iteration whether or not the Jacobian is refreshed, and
-    /// the LU factorization itself is nearly free — so a stale Jacobian
-    /// only pays when it does not cost extra iterations. Two situations
-    /// qualify:
-    ///
-    /// * **Across steps** — `stale_start` carries the controller's
-    ///   prediction in: when the previous solve converged immediately
-    ///   (a flat span where the warm start is already the answer),
-    ///   iteration 0 rides the cached LU and skips the factorization.
-    /// * **Across iterations** — once an iteration's damped update
-    ///   drops below [`JAC_STALE_DV`], the operating point has moved
-    ///   little enough that the just-factorized LU is still an
-    ///   excellent Newton matrix; the next iterations (at most
-    ///   [`JAC_STALE_RUN`] in a row) reuse it. A stale iteration that
-    ///   fails to contract the update forces a fresh factorization
-    ///   immediately, so convergence never stalls on a frozen Jacobian.
-    ///
-    /// The stale-Jacobian iterates differ from full Newton's, which is
-    /// fine under the LTE contract but would break `Fixed` mode's
-    /// bit-identity guarantee — hence adaptive-only.
-    ///
-    /// Returns the number of iterations used.
-    #[allow(clippy::too_many_arguments)]
-    fn newton_modified(
-        &mut self,
-        v: &mut [f64],
-        prev_dt: Option<(&[f64], f64)>,
-        gmin: f64,
-        max_iter: usize,
-        tol: f64,
-        time: f64,
-        stale_start: bool,
-    ) -> Result<usize, SolverError> {
-        let dt_key = prev_dt.map_or(0.0, |(_, dt)| dt).to_bits();
-        let gmin_key = gmin.to_bits();
-        let mut last_dv = f64::INFINITY;
-        let mut stale_run = 0usize;
-        for iter in 0..max_iter {
-            self.stats.newton_iterations += 1;
-            let want_stale = if iter == 0 {
-                stale_start
-            } else {
-                last_dv < JAC_STALE_DV && stale_run < JAC_STALE_RUN
-            };
-            let hit = if want_stale {
-                self.ws.matching(dt_key, gmin_key)
-            } else {
-                None
-            };
-            let stale = hit.is_some();
-            let bank = match hit {
-                Some(i) => {
-                    self.plan.assemble(v, prev_dt, gmin, &mut self.ws.rhs, None);
-                    self.stats.residual_builds += 1;
-                    self.stats.factorization_reuses += 1;
-                    self.ws.mru = i;
-                    i
-                }
-                None => {
-                    let b = self.ws.evict_target(dt_key, gmin_key);
-                    self.refactorize(v, prev_dt, gmin, time, b)?;
-                    b
-                }
-            };
-            for r in self.ws.rhs.iter_mut() {
-                *r = -*r;
-            }
-            let b = &self.ws.banks[bank];
-            lu_solve(&b.a, &b.piv, self.ws.n, &mut self.ws.rhs);
-            let upd = self.apply_update(v);
-            if upd < tol {
-                return Ok(iter + 1);
-            }
-            if stale {
-                stale_run += 1;
-                // Not contracting on the frozen Jacobian: force a
-                // fresh factorization next iteration.
-                last_dv = if upd >= last_dv { f64::INFINITY } else { upd };
-            } else {
-                stale_run = 0;
-                last_dv = upd;
-            }
-        }
-        Err(self.nonconvergence(v, prev_dt, gmin, max_iter as u64, time))
-    }
-
     /// Robust DC solve at time `t`: mid-supply then zero initial
     /// guesses, each with a direct attempt, a gmin ladder and a final
-    /// direct attempt. Identical flow to the historical `dc_at_time`,
-    /// except failures now report the actual `t` instead of `0.0`.
+    /// direct attempt. Failures report the actual `t`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolverError`] if every attempt fails.
     pub fn dc_at(&mut self, t: f64) -> Result<Vec<f64>, SolverError> {
-        // Mid-supply initial guess: the natural basin for self-biased
-        // CMOS (the resistive-feedback inverter settles near 0.5·VDD).
-        let v_mid = 0.5 * self.max_source_abs(t);
-        let mut best_err = SolverError::NonConvergence {
-            time: t,
-            iterations: 0,
-            worst_node: None,
-        };
-        for guess in [v_mid, 0.0] {
-            let mut v = vec![guess; self.plan.n_nodes];
-            self.apply_sources(&mut v, t);
-            // Direct attempt at the target gmin, then a gmin ladder.
-            if self.newton_full(&mut v, None, 1e-12, 400, 1e-9, t).is_ok() {
-                return Ok(v);
-            }
-            let mut ok = true;
-            for gmin in DC_LADDER {
-                match self.newton_full(&mut v, None, gmin, 400, 1e-9, t) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        best_err = e;
-                        ok = false;
-                    }
-                }
-            }
-            if ok {
-                return Ok(v);
-            }
-            // Final ladder step failed but earlier ones may have landed
-            // close: one more direct attempt from wherever we are.
-            if self.newton_full(&mut v, None, 1e-12, 400, 1e-9, t).is_ok() {
-                return Ok(v);
-            }
-        }
-        Err(best_err)
-    }
-
-    /// DC solve from a seeded guess (SPICE `.nodeset`). Tracks every
-    /// gmin rung's outcome (not just the last) and finishes with a
-    /// direct attempt, mirroring [`Solver::dc_at`].
-    fn dc_nodeset(&mut self, nodeset: &[(Node, f64)]) -> Result<Vec<f64>, SolverError> {
-        let v_mid = 0.5 * self.max_source_abs(0.0);
-        let mut v = vec![v_mid; self.plan.n_nodes];
-        for &(node, guess) in nodeset {
-            v[node.index()] = guess;
-        }
-        self.apply_sources(&mut v, 0.0);
-        if self
-            .newton_full(&mut v, None, 1e-12, 400, 1e-9, 0.0)
-            .is_ok()
-        {
-            return Ok(v);
-        }
-        // Gmin ladder from the seeded point, every rung tracked.
-        let mut best_err = SolverError::NonConvergence {
-            time: 0.0,
-            iterations: 0,
-            worst_node: None,
-        };
-        let mut ok = true;
-        for gmin in [1e-6, 1e-9, 1e-12] {
-            match self.newton_full(&mut v, None, gmin, 400, 1e-9, 0.0) {
-                Ok(()) => {}
-                Err(e) => {
-                    best_err = e;
-                    ok = false;
-                }
-            }
-        }
-        if ok {
-            return Ok(v);
-        }
-        if self
-            .newton_full(&mut v, None, 1e-12, 400, 1e-9, 0.0)
-            .is_ok()
-        {
-            return Ok(v);
-        }
-        Err(best_err)
+        let (out, stats) = batched::dc_one(&self.plan, self.circuit, t, batched::DcSeed::Robust);
+        self.stats.merge(&stats);
+        out
     }
 
     /// Runs a transient from the DC operating point using `config`'s
@@ -1386,389 +785,15 @@ impl<'c> Solver<'c> {
         config: &TransientConfig,
     ) -> Result<TransientResult, SolverError> {
         let _span = telemetry::span("analog.transient");
-        let before = self.stats;
         let started = Instant::now();
-        let waveforms = match config.step {
-            StepMode::Fixed(dt) => self.transient_fixed(dt, config),
-            StepMode::Adaptive {
-                dt_min,
-                dt_max,
-                lte_tol,
-            } => self.transient_adaptive(dt_min, dt_max, lte_tol, config),
-        }?;
-        self.stats.total_time += started.elapsed();
-        let stats = self.stats.since(&before);
+        let (waveforms, mut stats) = batched::transient_one(&self.plan, self.circuit, config);
+        stats.total_time = started.elapsed();
+        self.stats.merge(&stats);
+        let waveforms = waveforms?;
         stats.record_telemetry();
         telemetry::record_value("analog.newton_per_transient", stats.newton_iterations);
         telemetry::record_value("analog.steps_per_transient", stats.steps_taken);
         Ok(TransientResult { waveforms, stats })
-    }
-
-    /// Historical fixed-step loop, with samples streamed into per-node
-    /// buffers instead of cloning the node vector every step.
-    fn transient_fixed(
-        &mut self,
-        dt: f64,
-        config: &TransientConfig,
-    ) -> Result<Vec<Waveform>, SolverError> {
-        let mut v = self.dc_at(0.0)?;
-        let steps = (config.t_end / dt).ceil() as usize;
-        let mut bufs: Vec<Vec<f64>> = (0..self.plan.n_nodes)
-            .map(|_| Vec::with_capacity(steps + 1))
-            .collect();
-        for (buf, &x) in bufs.iter_mut().zip(&v) {
-            buf.push(x);
-        }
-        let mut prev = v.clone();
-        for k in 1..=steps {
-            let t = k as f64 * dt;
-            self.apply_sources(&mut v, t);
-            if let Err(e) = self.newton_full(
-                &mut v,
-                Some((&prev, dt)),
-                config.gmin,
-                config.max_newton,
-                config.tol,
-                t,
-            ) {
-                // Escalate through the recovery ladder before giving
-                // up; a fully convergent run never reaches this branch
-                // and stays bit-identical to the reference solver.
-                self.recover_step(&mut v, &prev, dt, t, config, e)?;
-            }
-            for (buf, &x) in bufs.iter_mut().zip(&v) {
-                buf.push(x);
-            }
-            prev.copy_from_slice(&v);
-            self.stats.steps_taken += 1;
-        }
-        Ok(bufs
-            .into_iter()
-            .map(|samples| Waveform::new(0.0, dt, samples))
-            .collect())
-    }
-
-    /// Step-doubling adaptive loop: each candidate step `h` is solved
-    /// once at `h` and twice at `h/2`; `max |v_h − v_{h/2,h/2}|` bounds
-    /// the backward-Euler LTE. Accepted spans are linearly resampled
-    /// onto the uniform `dt_min` output grid.
-    fn transient_adaptive(
-        &mut self,
-        dt_min: f64,
-        dt_max: f64,
-        lte_tol: f64,
-        config: &TransientConfig,
-    ) -> Result<Vec<Waveform>, SolverError> {
-        assert!(dt_min > 0.0, "dt_min must be positive");
-        assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
-        assert!(lte_tol > 0.0, "lte_tol must be positive");
-        let n_nodes = self.plan.n_nodes;
-        let out_dt = dt_min;
-        let n_out = (config.t_end / out_dt).ceil() as usize;
-        let t_stop = n_out as f64 * out_dt;
-
-        let v0 = self.dc_at(0.0)?;
-        let mut bufs: Vec<Vec<f64>> = (0..n_nodes)
-            .map(|_| Vec::with_capacity(n_out + 1))
-            .collect();
-        for (buf, &x) in bufs.iter_mut().zip(&v0) {
-            buf.push(x);
-        }
-        // Next output-grid index to fill; lerp accepted spans onto it.
-        let mut next_out = 1usize;
-        let emit = |bufs: &mut Vec<Vec<f64>>,
-                    next_out: &mut usize,
-                    t0: f64,
-                    va: &[f64],
-                    t1: f64,
-                    vb: &[f64]| {
-            while *next_out <= n_out {
-                let tg = *next_out as f64 * out_dt;
-                if tg > t1 + 1e-9 * out_dt {
-                    break;
-                }
-                let alpha = if t1 > t0 {
-                    ((tg - t0) / (t1 - t0)).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                for (buf, (&a, &b)) in bufs.iter_mut().zip(va.iter().zip(vb)) {
-                    buf.push(a + alpha * (b - a));
-                }
-                *next_out += 1;
-            }
-        };
-
-        let mut t = 0.0f64;
-        let mut v = v0;
-        let mut v_big = vec![0.0; n_nodes];
-        let mut v_half = vec![0.0; n_nodes];
-        let mut v_end = vec![0.0; n_nodes];
-        let mut h = dt_min;
-        let mut floor_streak = 0usize;
-        // History of the last accepted span, for the divided-difference
-        // LTE estimate of plain (single-solve) steps. `h_prev == 0`
-        // means no usable history: the next step must be a doubling
-        // probe.
-        let mut v_prevstep = vec![0.0; n_nodes];
-        let mut h_prev = 0.0f64;
-        // Did the last Newton solve converge immediately? If so the
-        // cached LU is still the converged Jacobian of a flat span and
-        // the next solve may open on it without refactorizing.
-        let mut fast_streak = false;
-        // Runaway guard: an accepted floor step advances at least
-        // dt_min and a rejection halves h, so this bound is generous.
-        let mut budget = 16 * n_out as u64 + 4096;
-
-        while next_out <= n_out {
-            if t_stop - t < 0.5 * out_dt * 1e-6 {
-                break;
-            }
-            budget = budget.saturating_sub(1);
-            if budget == 0 {
-                return Err(SolverError::NonConvergence {
-                    time: t,
-                    iterations: 0,
-                    worst_node: None,
-                });
-            }
-            let h_eff = h.min(t_stop - t);
-            // A fast source move shifts the operating point: the
-            // cached LU no longer approximates the Jacobian there.
-            // Solution history stays — the divided-difference LTE sees
-            // any real discontinuity as huge curvature and rejects the
-            // step on its own, which is exactly the right response.
-            if self.source_jump(t, t + h_eff) > SOURCE_JUMP_V {
-                self.ws.invalidate();
-            }
-            // The LTE bound, not the Newton tolerance, limits accuracy
-            // in this mode — solving each step far below the accepted
-            // truncation error only burns device evaluations. The big
-            // step exists purely as the LTE probe, so it gets an even
-            // looser target.
-            let ntol = config.tol.max(0.03 * lte_tol);
-            let ntol_big = config.tol.max(0.1 * lte_tol);
-            if h_eff <= dt_min * (1.0 + 1e-9) {
-                // At the floor there is nothing to refine against:
-                // take the backward-Euler step and accept it.
-                v_end.copy_from_slice(&v);
-                self.apply_sources(&mut v_end, t + h_eff);
-                let solved = self.newton_modified(
-                    &mut v_end,
-                    Some((&v, h_eff)),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    t + h_eff,
-                    fast_streak,
-                );
-                let iters = match solved {
-                    Ok(i) => i,
-                    Err(e) => {
-                        // At the floor there is no smaller step to
-                        // retry at — escalate through the recovery
-                        // ladder, then resume with a cold LU cache.
-                        self.recover_step(&mut v_end, &v, h_eff, t + h_eff, config, e)?;
-                        self.ws.invalidate();
-                        SLOW_STEP_ITERS
-                    }
-                };
-                fast_streak = iters <= 1;
-                if iters > SLOW_STEP_ITERS {
-                    self.ws.invalidate();
-                }
-                self.stats.steps_taken += 1;
-                emit(&mut bufs, &mut next_out, t, &v, t + h_eff, &v_end);
-                v_prevstep.copy_from_slice(&v);
-                h_prev = h_eff;
-                v.copy_from_slice(&v_end);
-                t += h_eff;
-                floor_streak += 1;
-                if floor_streak >= 4 {
-                    // Probe growth: the next step is LTE-tested, so a
-                    // wrong guess costs one rejection, not accuracy.
-                    h = (2.0 * dt_min).min(dt_max);
-                    floor_streak = 0;
-                }
-                continue;
-            }
-            floor_streak = 0;
-
-            // Plain step: with an accepted span behind us, one
-            // backward-Euler solve suffices — the LTE comes free from
-            // the second divided difference across the last two spans,
-            // scale-matched to the doubling defect (both are h²·v''/4
-            // estimators) and valid for growth candidates too since it
-            // reads the freshly solved span. Only history-less steps
-            // (start of the run) fall through to the rigorous
-            // step-doubling probe.
-            if h_prev > 0.0 {
-                // Warm start by linear extrapolation of the last span.
-                for (x, (&a, &b)) in v_end.iter_mut().zip(v.iter().zip(&v_prevstep)) {
-                    *x = a + (a - b) * (h_eff / h_prev);
-                }
-                self.apply_sources(&mut v_end, t + h_eff);
-                let solved = self.newton_modified(
-                    &mut v_end,
-                    Some((&v, h_eff)),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    t + h_eff,
-                    fast_streak,
-                );
-                let iters = match solved {
-                    Ok(i) => i,
-                    Err(_) => {
-                        self.ws.invalidate();
-                        fast_streak = false;
-                        self.stats.steps_rejected += 1;
-                        h = (0.5 * h_eff).max(dt_min);
-                        continue;
-                    }
-                };
-                fast_streak = iters <= 1;
-                let mut lte = 0.0f64;
-                for i in 0..n_nodes {
-                    let d1 = (v_end[i] - v[i]) / h_eff;
-                    let d0 = (v[i] - v_prevstep[i]) / h_prev;
-                    let vpp = 2.0 * (d1 - d0) / (h_eff + h_prev);
-                    lte = lte.max((0.25 * h_eff * h_eff * vpp).abs());
-                }
-                if lte <= lte_tol {
-                    if iters > SLOW_STEP_ITERS {
-                        self.ws.invalidate();
-                    }
-                    self.stats.steps_taken += 1;
-                    emit(&mut bufs, &mut next_out, t, &v, t + h_eff, &v_end);
-                    v_prevstep.copy_from_slice(&v);
-                    h_prev = h_eff;
-                    v.copy_from_slice(&v_end);
-                    t += h_eff;
-                    h = if lte < 0.25 * lte_tol {
-                        (2.0 * h_eff).min(dt_max)
-                    } else if lte < 0.6 * lte_tol {
-                        h_eff.min(dt_max)
-                    } else {
-                        (0.8 * h_eff).max(dt_min)
-                    };
-                } else {
-                    self.stats.steps_rejected += 1;
-                    let shrink = (0.9 * (lte_tol / lte).sqrt()).clamp(0.1, 0.5);
-                    h = (shrink * h_eff).max(dt_min);
-                }
-                continue;
-            }
-            let half = 0.5 * h_eff;
-            // Warm starts: the half-step solves start from the big-step
-            // solution (midpoint lerp, then the endpoint itself) — pure
-            // initial guesses; the Newton tolerance decides accuracy.
-            let attempt = (|this: &mut Self, fs: bool| -> Result<usize, SolverError> {
-                v_big.copy_from_slice(&v);
-                this.apply_sources(&mut v_big, t + h_eff);
-                let i1 = this.newton_modified(
-                    &mut v_big,
-                    Some((&v, h_eff)),
-                    config.gmin,
-                    config.max_newton,
-                    ntol_big,
-                    t + h_eff,
-                    fs,
-                )?;
-                for (x, (&a, &b)) in v_half.iter_mut().zip(v.iter().zip(&v_big)) {
-                    *x = 0.5 * (a + b);
-                }
-                this.apply_sources(&mut v_half, t + half);
-                let i2 = this.newton_modified(
-                    &mut v_half,
-                    Some((&v, half)),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    t + half,
-                    i1 <= 1,
-                )?;
-                v_end.copy_from_slice(&v_big);
-                this.apply_sources(&mut v_end, t + h_eff);
-                let i3 = this.newton_modified(
-                    &mut v_end,
-                    Some((&v_half, half)),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    t + h_eff,
-                    i2 <= 1,
-                )?;
-                Ok(i1.max(i2).max(i3))
-            })(self, fast_streak);
-            let worst_iters = match attempt {
-                Ok(i) => i,
-                Err(_) => {
-                    // Newton failure above the floor: treat as a step
-                    // rejection and retry smaller with a fresh LU.
-                    self.ws.invalidate();
-                    fast_streak = false;
-                    self.stats.steps_rejected += 1;
-                    h = (0.5 * h_eff).max(dt_min);
-                    continue;
-                }
-            };
-            fast_streak = worst_iters <= 1;
-            let lte = v_big
-                .iter()
-                .zip(&v_end)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            if lte <= lte_tol {
-                if worst_iters > SLOW_STEP_ITERS {
-                    self.ws.invalidate();
-                }
-                self.stats.steps_taken += 2;
-                emit(&mut bufs, &mut next_out, t, &v, t + half, &v_half);
-                emit(
-                    &mut bufs,
-                    &mut next_out,
-                    t + half,
-                    &v_half,
-                    t + h_eff,
-                    &v_end,
-                );
-                v_prevstep.copy_from_slice(&v);
-                h_prev = h_eff;
-                v.copy_from_slice(&v_end);
-                t += h_eff;
-                h = if lte < 0.25 * lte_tol {
-                    (2.0 * h_eff).min(dt_max)
-                } else if lte < 0.6 * lte_tol {
-                    h_eff.min(dt_max)
-                } else {
-                    // Hysteresis: an LTE brushing the bound would
-                    // oscillate accept/reject at a fixed h; back off a
-                    // little while still accepting.
-                    (0.8 * h_eff).max(dt_min)
-                };
-            } else {
-                // Proportional back-off: the doubling defect of a
-                // first-order method scales as h², so jump straight to
-                // the step the measured LTE implies instead of cascading
-                // through halvings (each rejection wastes three solves).
-                self.stats.steps_rejected += 1;
-                let shrink = (0.9 * (lte_tol / lte).sqrt()).clamp(0.1, 0.5);
-                h = (shrink * h_eff).max(dt_min);
-            }
-        }
-        // Float drift can leave the last grid point unfilled; hold the
-        // final value.
-        for buf in bufs.iter_mut() {
-            while buf.len() < n_out + 1 {
-                let last = *buf.last().expect("has the DC sample");
-                buf.push(last);
-            }
-        }
-        Ok(bufs
-            .into_iter()
-            .map(|samples| Waveform::new(0.0, out_dt, samples))
-            .collect())
     }
 }
 
@@ -1785,16 +810,15 @@ impl<'c> Solver<'c> {
 /// gate (non-positive elements, source conflicts, bad stimuli).
 pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution, SolverError> {
     crate::drc::debug_check(circuit);
-    let _span = telemetry::span("analog.dc");
-    let mut solver = Solver::new(circuit);
-    let started = Instant::now();
-    let voltages = solver.dc_at(0.0)?;
-    solver.stats.total_time += started.elapsed();
-    solver.stats.record_telemetry();
-    Ok(DcSolution {
-        voltages,
-        stats: solver.stats,
-    })
+    let (voltages, stats) = dc_entry("analog.dc", || {
+        batched::dc_one(
+            &StampPlan::new(circuit),
+            circuit,
+            0.0,
+            batched::DcSeed::Robust,
+        )
+    })?;
+    Ok(DcSolution { voltages, stats })
 }
 
 /// Solves the DC operating point from user-supplied initial guesses on
@@ -1815,48 +839,30 @@ pub fn dc_operating_point_with_nodeset(
     nodeset: &[(Node, f64)],
 ) -> Result<DcSolution, SolverError> {
     crate::drc::debug_check(circuit);
-    let _span = telemetry::span("analog.dc");
-    let mut solver = Solver::new(circuit);
-    let started = Instant::now();
-    let voltages = solver.dc_nodeset(nodeset)?;
-    solver.stats.total_time += started.elapsed();
-    solver.stats.record_telemetry();
-    Ok(DcSolution {
-        voltages,
-        stats: solver.stats,
-    })
+    let (voltages, stats) = dc_entry("analog.dc", || {
+        batched::dc_one(
+            &StampPlan::new(circuit),
+            circuit,
+            0.0,
+            batched::DcSeed::Nodeset(nodeset),
+        )
+    })?;
+    Ok(DcSolution { voltages, stats })
 }
 
-/// The continuation loop shared by the sequential sweep and each
-/// parallel chunk: override the source, Newton from the previous
-/// point's solution, fall back to a fresh robust solve.
-fn dc_sweep_on(
-    solver: &mut Solver<'_>,
-    source_index: usize,
-    values: &[f64],
-) -> Result<Vec<Vec<f64>>, SolverError> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut guess: Option<Vec<f64>> = None;
-    for &val in values {
-        solver.set_source_override(Some((source_index, val)));
-        let v = match &guess {
-            Some(g) => {
-                // Continuation: Newton from the previous point's solution.
-                let mut v = g.clone();
-                solver.apply_sources(&mut v, 0.0);
-                match solver.newton_full(&mut v, None, 1e-12, 400, 1e-9, 0.0) {
-                    Ok(()) => v,
-                    // Fall back to a fresh robust solve.
-                    Err(_) => solver.dc_at(0.0)?,
-                }
-            }
-            None => solver.dc_at(0.0)?,
-        };
-        guess = Some(v.clone());
-        out.push(v);
-    }
-    solver.set_source_override(None);
-    Ok(out)
+/// The span, wall-clock and telemetry shared by the DC entry points
+/// around one engine call.
+fn dc_entry<T>(
+    span: &'static str,
+    run: impl FnOnce() -> (Result<T, SolverError>, SolverStats),
+) -> Result<(T, SolverStats), SolverError> {
+    let _span = telemetry::span(span);
+    let started = Instant::now();
+    let (out, mut stats) = run();
+    let out = out?;
+    stats.total_time = started.elapsed();
+    stats.record_telemetry();
+    Ok((out, stats))
 }
 
 /// DC sweep: overrides source `source_index`'s value across `values` and
@@ -1883,20 +889,13 @@ pub fn dc_sweep(
         source_index < circuit.sources().len(),
         "source index out of range"
     );
-    let _span = telemetry::span("analog.dc_sweep");
-    let mut solver = Solver::new(circuit);
-    let started = Instant::now();
-    let points = dc_sweep_on(&mut solver, source_index, values)?;
-    solver.stats.total_time += started.elapsed();
-    solver.stats.record_telemetry();
-    Ok(DcSweepResult {
-        points,
-        stats: solver.stats,
-    })
+    let (points, stats) = dc_entry("analog.dc_sweep", || {
+        batched::dc_sweep_one(&StampPlan::new(circuit), circuit, source_index, values)
+    })?;
+    Ok(DcSweepResult { points, stats })
 }
 
-/// Points per lockstep batch in [`dc_sweep_with_threads`] (and the
-/// chunking grain of [`batched::dc_sweep_batched`]). Fixed (not derived
+/// Points per lockstep batch in [`dc_sweep_with_threads`]. Fixed (not derived
 /// from the worker count) so the batch boundaries — and therefore every
 /// result — are identical for any thread count. Each point of a batch
 /// is solved by the full robust [`Solver::dc_at`] flow independently of
@@ -1904,19 +903,17 @@ pub fn dc_sweep(
 /// independent**.
 const DC_SWEEP_BATCH: usize = 32;
 
-/// Parallel [`dc_sweep`], now a thin shim over the batched multi-point
-/// engine: the value list is split into `DC_SWEEP_BATCH`-point
-/// chunks, each solved as one lockstep batch
-/// ([`batched::dc_sweep_batched`] semantics), fanned across `threads`
-/// workers. Results come back in input order and are bit-identical for
-/// any thread count *and* any batch boundary placement: every point
-/// runs the robust per-point DC flow on its own state plane, so its
-/// arithmetic never depends on its batchmates.
+/// Parallel [`dc_sweep`] on the batched multi-point engine: the value
+/// list is split into `DC_SWEEP_BATCH`-point chunks, each solved as one
+/// lockstep batch, fanned across `threads` workers. Results come back
+/// in input order and are bit-identical for any thread count *and* any
+/// batch boundary placement: every point runs the robust per-point DC
+/// flow on its own state plane, so its arithmetic never depends on its
+/// batchmates.
 ///
-/// (The sequential [`dc_sweep`] uses an unbroken continuation chain
-/// instead, which converges to the same curve but not bit-identically;
-/// compare this function against [`batched::dc_sweep_batched`] or
-/// itself across thread counts.)
+/// ([`dc_sweep`] uses an unbroken continuation chain instead, which
+/// converges to the same curve but not bit-identically; compare this
+/// function against itself across thread counts.)
 ///
 /// # Errors
 ///
@@ -2385,7 +1382,7 @@ mod tests {
         // One factorization per distinct (dt, gmin) key: the DC solve
         // ladder uses several gmins, the transient exactly one more.
         assert!(
-            s.factorizations <= DC_LADDER.len() as u64 + 3,
+            s.factorizations <= batched::DC_LADDER.len() as u64 + 3,
             "linear transient must reuse its LU: {} factorizations",
             s.factorizations
         );
@@ -2563,35 +1560,5 @@ mod tests {
         assert_eq!(res.stats().recovered_gmin, 0);
         assert_eq!(res.stats().recovered_source, 0);
         assert_eq!(res.stats().recovered_dt_cut, 0);
-    }
-
-    #[test]
-    fn nonconvergence_error_names_worst_residual_node() {
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let vin = c.node("vin");
-        let vout = c.node("vout");
-        c.vsource(vdd, Stimulus::Dc(VDD));
-        c.vsource(vin, Stimulus::Dc(0.0));
-        inverter(&mut c, vin, vout, vdd, 0.65, 1.0);
-        let mut solver = Solver::new(&c);
-        // One damped iteration from an all-zero guess cannot pull the
-        // output to VDD, so this must fail — with diagnostics.
-        let mut v = vec![0.0; c.node_count()];
-        solver.apply_sources(&mut v, 0.0);
-        let err = solver
-            .newton_full(&mut v, None, 1e-12, 1, 1e-9, 0.0)
-            .expect_err("one iteration cannot converge");
-        match err {
-            SolverError::NonConvergence {
-                iterations,
-                worst_node,
-                ..
-            } => {
-                assert_eq!(iterations, 1);
-                assert_eq!(worst_node.as_deref(), Some("vout"));
-            }
-            other => panic!("expected NonConvergence, got {other}"),
-        }
     }
 }

@@ -1,52 +1,53 @@
-//! Batched multi-point lockstep solver (DESIGN.md §16).
+//! The analog engine: lockstep Newton, DC and transient analysis over a
+//! batch of operating points (DESIGN.md §11, §16).
 //!
-//! Corner farms and sweeps solve the *same topology* at many nearby
-//! operating points: a VTC sweep varies one DC source, a PVT corner
-//! sweep varies device parameters and the supply, a sensitivity sweep
-//! varies an element value. The sequential engine pays the full
+//! Every solve in the crate runs here. A plain transient or DC solve is
+//! a batch of one point; corner farms and sweeps, which solve the *same
+//! topology* at many nearby operating points, batch them so the
 //! per-solve overhead — stamp dispatch, LU factorization, Newton
-//! bookkeeping — once *per point*. This module amortizes it across the
-//! point dimension:
+//! bookkeeping — is paid once for the whole point dimension:
 //!
 //! * **Structure-of-arrays state.** Voltage and history live in
 //!   point-fastest planes (`plane[node * n_points + p]`), so the inner
 //!   loop of every stamp, solve and update walks a contiguous run of
-//!   points and auto-vectorizes.
+//!   points and auto-vectorizes. With one point a plane is simply the
+//!   node-voltage vector.
 //! * **One shared `StampPlan`.** The topology is compiled once;
 //!   per-point differences are value-only [`PointOverride`]s zipped
 //!   into the stamp list (`PVal::Shared` vs `PVal::Per`).
-//! * **Batched Newton with convergence masks.** All active points
-//!   iterate in lockstep; a point that converges drops out of the mask
-//!   and its state plane column freezes, so stragglers never perturb
-//!   finished points.
+//! * **Newton with convergence masks.** All active points iterate in
+//!   lockstep; a point that converges drops out of the mask and its
+//!   state plane column freezes, so stragglers never perturb finished
+//!   points. Each point keeps its own two-bank LU cache and, on the
+//!   adaptive path, its own modified-Newton state (stale-LU reuse under
+//!   `JAC_STALE_DV`/`JAC_STALE_RUN`, the `fast_streak` carried across
+//!   steps, the `SLOW_STEP_ITERS` invalidation).
 //! * **Shared LU on uniform linear batches.** When no element is
 //!   overridden and the circuit is linear, every point's Jacobian is
-//!   bit-identical — one factorization (counted in
-//!   `SolverStats::batched_factorizations`) serves the whole batch
-//!   through the plane triangular solve.
-//! * **Retirement.** Any point whose lockstep solve fails — DC
-//!   non-convergence, a failed fixed step, an adaptive floor-step
-//!   failure or budget exhaustion — is *retired* from the batch
-//!   (counted in `SolverStats::batch_retirements`) and re-solved
-//!   sequentially from scratch, where the full PR 5 recovery ladder
-//!   (gmin/source/dt-cut stepping) applies. The batch itself never
-//!   enters the ladder, so stragglers cannot hold the lockstep.
+//!   bit-identical — one factorization serves the whole batch through
+//!   the plane triangular solve.
+//! * **Recovery or retirement.** A one-point batch answers a failed
+//!   step with the recovery ladder (gmin-stepping → source-stepping →
+//!   dt-cut). A multi-point batch instead *retires* the failing point
+//!   (counted in `SolverStats::batch_retirements`) and re-solves it as
+//!   a one-point batch, so stragglers cannot hold the lockstep.
 //!
 //! # Determinism contract
 //!
-//! Fixed-step batched results are **bit-identical per point** to a
-//! sequential [`Solver::run_transient`] of that point's circuit
-//! ([`PointOverride::circuit_for_point`]), for every batch size and
-//! composition: each point's scalar operation sequence — stamp order,
-//! damped update, LU cache decisions — is reproduced exactly on its
-//! own plane column, and retired points are literally re-solved
-//! sequentially. Batched DC (the flow behind
-//! [`dc_sweep_batched`] and `dc_sweep_with_threads`) carries the same
-//! guarantee against the sequential robust DC flow. Adaptive batched
+//! A one-point batch reproduces the historical sequential solver bit
+//! for bit, counters included: fixed-step runs and DC match the
+//! [`reference`](super::reference) oracle, and the adaptive path keeps
+//! the sequential controller's exact decisions (pinned by
+//! `tests/analog_golden.rs`). Fixed-step multi-point results are
+//! **bit-identical per point** to a one-point solve of that point's
+//! circuit ([`PointOverride::circuit_for_point`]) for every batch size
+//! and composition: each point's scalar operation sequence — stamp
+//! order, damped update, LU cache decisions — is reproduced exactly on
+//! its own plane column, and retired points are literally re-solved
+//! alone. Batched DC carries the same guarantee. Adaptive multi-point
 //! runs share one step controller across the batch (union time grid,
-//! worst-point LTE), so per-point results are not bit-identical to a
-//! sequential adaptive run — they track it within the usual LTE bound
-//! instead.
+//! worst-point LTE), so per-point results track a one-point adaptive
+//! run within the LTE bound instead.
 
 // The lockstep loops walk several parallel per-point arrays (`run`,
 // `conv`, `lockstep`, per-point stats and workspaces) at once; plain
@@ -55,12 +56,35 @@
 #![allow(clippy::needless_range_loop)]
 
 use super::{
-    factorize, lu_solve, telemetry, Circuit, DcSweepResult, Instant, PairSlots, Solver,
-    SolverError, SolverStats, StampPlan, StepMode, TransientConfig, TransientResult, Waveform,
-    ABSENT, DC_LADDER, DC_SWEEP_BATCH, SOURCE_JUMP_V,
+    factorize, lu_solve, telemetry, Circuit, Instant, PairSlots, Solver, SolverError, SolverStats,
+    StampPlan, StepMode, TransientConfig, TransientResult, Waveform, Workspace, ABSENT,
 };
-use crate::circuit::{Element, Stimulus};
+use crate::circuit::{Element, Node, Stimulus};
 use openserdes_pdk::mos::MosDevice;
+
+/// Gmin ladder of the robust DC solve.
+pub(super) const DC_LADDER: [f64; 8] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 3e-12, 1e-12];
+/// Gmin ladder of the seeded (`.nodeset`) DC solve.
+const NODESET_LADDER: [f64; 3] = [1e-6, 1e-9, 1e-12];
+/// A step whose Newton solve needed this many iterations invalidates
+/// the cached LU (the operating point moved a lot).
+const SLOW_STEP_ITERS: usize = 10;
+/// Source jump across a step (volts) that invalidates the cached LU.
+/// Device transconductances vary on a ~VDD/10 scale, so smaller ramps
+/// leave the stale Jacobian a good Newton matrix.
+const SOURCE_JUMP_V: f64 = 0.15;
+/// A damped Newton update below this magnitude (volts) leaves the MOS
+/// small-signal parameters within a modest factor of the cached
+/// Jacobian's (`gm` varies on the thermal-voltage scale, ~e^(dv/35mV)
+/// in subthreshold), so the next iteration may ride the stale LU and
+/// still contract strongly. Above it, refactorize — a bad Newton matrix
+/// costs whole extra device-evaluation passes, which is the dominant
+/// expense on these small MNA systems.
+const JAC_STALE_DV: f64 = 0.02;
+/// Consecutive stale-LU iterations allowed before a mandatory
+/// refactorization, bounding how far modified Newton can drift from the
+/// quadratic path.
+const JAC_STALE_RUN: usize = 2;
 
 /// Value-only deltas applied to a base circuit to form one point of a
 /// batch: replacement elements (same kind, same nodes — the batched
@@ -269,13 +293,73 @@ enum BStamp {
     },
 }
 
-/// The batched engine's working state: SoA planes over
-/// `[n_nodes × n_points]` (point-fastest), the widened stamp list, and
-/// either one shared workspace (uniform linear batches) or one
-/// [`super::Workspace`] per point replicating the sequential two-bank
-/// LU cache decisions exactly.
+/// The parameters of one Newton solve, shared by every point of the
+/// call.
+#[derive(Debug, Clone, Copy)]
+struct Solve {
+    /// Backward-Euler companion step (`None` at DC).
+    dt: Option<f64>,
+    /// Stabilizing node-to-ground conductance.
+    gmin: f64,
+    /// Iteration budget.
+    max_iter: usize,
+    /// Convergence bound on the damped update, volts.
+    tol: f64,
+    /// Simulation time, reported by errors.
+    time: f64,
+    /// Modified Newton (may ride a stale LU) instead of full Newton
+    /// (refactorizes every iteration unless the circuit is linear).
+    modified: bool,
+}
+
+impl Solve {
+    /// The direct DC attempt at time `t` and the given `gmin`.
+    fn dc(t: f64, gmin: f64) -> Self {
+        Self {
+            dt: None,
+            gmin,
+            max_iter: 400,
+            tol: 1e-9,
+            time: t,
+            modified: false,
+        }
+    }
+
+    /// A transient step solve ending at `time`.
+    fn step(dt: f64, config: &TransientConfig, tol: f64, time: f64, modified: bool) -> Self {
+        Self {
+            dt: Some(dt),
+            gmin: config.gmin,
+            max_iter: config.max_newton,
+            tol,
+            time,
+            modified,
+        }
+    }
+}
+
+/// How a DC solve seeds its Newton iterations.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum DcSeed<'n> {
+    /// Mid-supply, then all-zero initial guesses, each with a direct
+    /// attempt, the full [`DC_LADDER`] and a final direct attempt.
+    Robust,
+    /// Mid-supply with user guesses on some nodes (SPICE `.nodeset`),
+    /// through the short nodeset ladder.
+    Nodeset(&'n [(Node, f64)]),
+}
+
+/// A point's transient outcome: `None` when it was retired from a
+/// multi-point batch (the caller re-solves it alone).
+type Outcome = Option<Result<Vec<Waveform>, SolverError>>;
+
+/// The engine's working state: SoA planes over `[n_nodes × n_points]`
+/// (point-fastest), the widened stamp list, either one shared
+/// [`Workspace`] (uniform linear batches) or one per point, and the
+/// per-point Newton state.
 struct Batch<'a> {
     plan: &'a StampPlan,
+    circuit: &'a Circuit,
     stamps: Vec<BStamp>,
     /// `(raw node index, stimulus plane)` per voltage source, in
     /// circuit order.
@@ -286,14 +370,20 @@ struct Batch<'a> {
     /// No element overrides *and* the plan is linear: every point's
     /// Jacobian is bit-identical, so one factorization serves all.
     shared_lu: bool,
+    /// Entered through a batched entry point: count the
+    /// `batched_factorizations`.
+    batched: bool,
+    /// Failing points leave the batch (multi-point batches) instead of
+    /// entering the recovery ladder (one-point batches).
+    retire: bool,
     /// Voltage plane, `v[node * np + p]`.
     v: Vec<f64>,
     /// Previous-step voltage plane (backward-Euler companion).
     prev: Vec<f64>,
     /// Residual / Newton-update plane, `res[slot * np + p]`.
     res: Vec<f64>,
-    shared_ws: super::Workspace,
-    point_ws: Vec<super::Workspace>,
+    shared_ws: Workspace,
+    point_ws: Vec<Workspace>,
     /// Per-point damped-update magnitude and damping scale.
     maxdv: Vec<f64>,
     scale: Vec<f64>,
@@ -308,13 +398,25 @@ struct Batch<'a> {
     miss: Vec<bool>,
     bank_of: Vec<usize>,
     run: Vec<bool>,
-    /// Batch-level counters, merged into the owning solver afterwards.
+    /// Modified Newton, per point: open the next solve on the cached LU
+    /// (the last solve converged at once — the `fast_streak`).
+    stale_start: Vec<bool>,
+    /// Iterations the last solve used, per point.
+    iters: Vec<usize>,
+    /// Modified-Newton bookkeeping inside one solve, per point: wants a
+    /// stale LU this iteration, rode one, last update, stale run.
+    want: Vec<bool>,
+    stale: Vec<bool>,
+    last_dv: Vec<f64>,
+    stale_run: Vec<usize>,
+    /// The last solve failed on a singular factorization, per point.
+    singular: Vec<bool>,
+    /// Batch-level counters.
     stats: SolverStats,
     /// Per-point share of the counters that are cleanly attributable
     /// (Newton iterations, residual builds, accepted steps, per-point
     /// factorizations/reuses). Batch-shared work — one factorization
-    /// serving many points, plane assemblies — is counted once in
-    /// `stats`, not divided.
+    /// serving many points — is counted once in `stats`, not divided.
     pstats: Vec<SolverStats>,
 }
 
@@ -327,7 +429,12 @@ impl<'a> Batch<'a> {
     /// Panics when an override index is out of range, changes an
     /// element's kind/terminals/polarity, or carries a non-positive
     /// resistance/capacitance.
-    fn new(plan: &'a StampPlan, circuit: &Circuit, points: &[PointOverride]) -> Self {
+    fn new(
+        plan: &'a StampPlan,
+        circuit: &'a Circuit,
+        points: &[PointOverride],
+        batched: bool,
+    ) -> Self {
         let np = points.len();
         let nn = plan.n_nodes;
         let nu = plan.n_unknown;
@@ -335,7 +442,7 @@ impl<'a> Batch<'a> {
 
         // Effective override element per (element, point); later
         // overrides of the same index win, matching
-        // `circuit_for_point`'s sequential application.
+        // `circuit_for_point`'s application order.
         let mut eff: Vec<Vec<Option<&Element>>> = vec![vec![None; np]; base_elements.len()];
         for (pi, ov) in points.iter().enumerate() {
             for (i, e) in &ov.elements {
@@ -493,20 +600,23 @@ impl<'a> Batch<'a> {
         let shared_lu = uniform && plan.linear;
         Self {
             plan,
+            circuit,
             stamps,
             srcs,
             np,
             nn,
             nu,
             shared_lu,
+            batched,
+            retire: np > 1,
             v: vec![0.0; nn * np],
             prev: vec![0.0; nn * np],
             res: vec![0.0; nu * np],
-            shared_ws: super::Workspace::new(nu),
+            shared_ws: Workspace::new(nu),
             point_ws: if shared_lu {
                 Vec::new()
             } else {
-                (0..np).map(|_| super::Workspace::new(nu)).collect()
+                (0..np).map(|_| Workspace::new(nu)).collect()
             },
             maxdv: vec![0.0; np],
             scale: vec![0.0; np],
@@ -516,25 +626,56 @@ impl<'a> Batch<'a> {
             miss: vec![false; np],
             bank_of: vec![0; np],
             run: vec![false; np],
+            stale_start: vec![false; np],
+            iters: vec![0; np],
+            want: vec![false; np],
+            stale: vec![false; np],
+            last_dv: vec![f64::INFINITY; np],
+            stale_run: vec![0; np],
+            singular: vec![false; np],
             stats: SolverStats::default(),
             pstats: vec![SolverStats::default(); np],
         }
     }
 
-    /// Fills source rows of the `mask`ed columns for time `t` — the
-    /// plane counterpart of `Solver::apply_sources`.
+    /// A one-point batch of `circuit` itself: the engine behind every
+    /// non-batched entry point.
+    fn single(plan: &'a StampPlan, circuit: &'a Circuit) -> Self {
+        Self::new(plan, circuit, &[PointOverride::new()], false)
+    }
+
+    /// Fills source rows of the `mask`ed columns for time `t`.
     fn apply_sources_cols(&mut self, t: f64, mask: &[bool]) {
-        let np = self.np;
+        self.fill_sources(mask, |s| s.value_at(t));
+    }
+
+    /// Fills source rows of the `mask`ed columns with every source
+    /// lerped between its values at `t0` and `t1`:
+    /// `v(t0) + alpha·(v(t1) − v(t0))`. The source-stepping recovery
+    /// rung walks `alpha` from 0 to 1 so a step change too violent for
+    /// one Newton solve becomes a short continuation.
+    fn apply_sources_blend_cols(&mut self, t0: f64, t1: f64, alpha: f64, mask: &[bool]) {
+        self.fill_sources(mask, |s| {
+            let a = s.value_at(t0);
+            a + alpha * (s.value_at(t1) - a)
+        });
+    }
+
+    /// Grounds row 0 and writes `value(stimulus)` into every source row
+    /// of the `mask`ed columns.
+    fn fill_sources(&mut self, mask: &[bool], value: impl Fn(&Stimulus) -> f64) {
+        let Self { v, srcs, np, .. } = self;
+        let np = *np;
         for p in 0..np {
             if mask[p] {
-                self.v[p] = 0.0;
+                v[p] = 0.0;
             }
         }
-        for (node, stim) in &self.srcs {
-            let row = &mut self.v[node * np..node * np + np];
+        for (node, stim) in srcs.iter() {
+            let row = &mut v[node * np..node * np + np];
             match stim {
                 PStim::Shared(s) => {
-                    let x = s.value_at(t);
+                    let x = value(s);
                     for (p, slot) in row.iter_mut().enumerate() {
                         if mask[p] {
                             *slot = x;
@@ -544,7 +685,7 @@ impl<'a> Batch<'a> {
                 PStim::Per(per) => {
                     for (p, slot) in row.iter_mut().enumerate() {
                         if mask[p] {
-                            *slot = per[p].value_at(t);
+                            *slot = value(&per[p]);
                         }
                     }
                 }
@@ -552,9 +693,8 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Largest source magnitude at `t` for point `p` (seed of the
-    /// mid-supply DC guess), same fold as the sequential
-    /// `max_source_abs`.
+    /// Largest source magnitude at `t` for point `p` (the historical
+    /// mid-supply guess is half of it).
     fn max_source_abs_point(&self, p: usize, t: f64) -> f64 {
         self.srcs
             .iter()
@@ -585,31 +725,128 @@ impl<'a> Batch<'a> {
             ws.invalidate();
         }
     }
+
+    /// Drops the factorizations point `p` solves with.
+    fn invalidate_point(&mut self, p: usize) {
+        if self.shared_lu {
+            self.shared_ws.invalidate();
+        } else {
+            self.point_ws[p].invalidate();
+        }
+    }
+
+    /// Copies the previous-step column into the voltage column of every
+    /// `mask`ed point: each recovery rung restarts from there.
+    fn restart_from_prev(&mut self, mask: &[bool]) {
+        let np = self.np;
+        for node in 0..self.nn {
+            for p in 0..np {
+                if mask[p] {
+                    self.v[node * np + p] = self.prev[node * np + p];
+                }
+            }
+        }
+    }
+
+    /// Column `p` of the voltage plane.
+    fn column(&self, p: usize) -> Vec<f64> {
+        (0..self.nn)
+            .map(|node| self.v[node * self.np + p])
+            .collect()
+    }
+
+    /// Takes point `p` out of the lockstep after a failure: counted as
+    /// a retirement in a multi-point batch, else recorded as the point's
+    /// error.
+    fn end_point(
+        &mut self,
+        p: usize,
+        lockstep: &mut [bool],
+        failed: &mut [Option<SolverError>],
+        err: SolverError,
+    ) {
+        lockstep[p] = false;
+        if self.retire {
+            self.stats.batch_retirements += 1;
+        } else {
+            failed[p] = Some(err);
+        }
+    }
+}
+
+/// The point count of a plane kernel. Kernels are generic over it so a
+/// one-point batch compiles with a constant count of one — its per-point
+/// loops and `node * np + p` index arithmetic fold away — while
+/// multi-point batches pass the run-time count (`usize`).
+trait Lanes: Copy {
+    fn get(self) -> usize;
+}
+
+/// One lane, known at compile time.
+#[derive(Debug, Clone, Copy)]
+struct OneLane;
+
+impl Lanes for OneLane {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
+    }
+}
+
+impl Lanes for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// The per-point Jacobian banks a plane assembly fills: point `k`
+/// writes `ws[k].banks[bank_of[k]]` when `miss[k]`.
+struct JacTargets<'w> {
+    ws: &'w mut [Workspace],
+    miss: &'w [bool],
+    bank_of: &'w [usize],
+}
+
+impl JacTargets<'_> {
+    #[inline]
+    fn at(&mut self, k: usize) -> Option<&mut [f64]> {
+        if self.miss[k] {
+            Some(&mut self.ws[k].banks[self.bank_of[k]].a)
+        } else {
+            None
+        }
+    }
 }
 
 /// Plane residual/Jacobian assembly: the batched counterpart of
 /// `StampPlan::assemble`. Residuals are written for every column (dead
 /// columns hold garbage that is never read); MOS evaluation — the
 /// expensive part — is skipped for non-`run` points. When `jacs` is
-/// non-empty, slot `p` receives point `p`'s Jacobian (the per-point LU
-/// path passes the miss points' bank matrices). The per-point `+=`
-/// order matches the sequential assembler exactly.
+/// given, every miss point's bank receives its Jacobian (the per-point
+/// LU path). The per-point `+=` order is the historical scalar
+/// assembler's exactly.
 #[allow(clippy::too_many_arguments)]
-fn assemble_plane(
+fn assemble_plane<L: Lanes>(
     stamps: &[BStamp],
     gmin_rows: &[(usize, usize, usize)],
-    np: usize,
+    lanes: L,
     v: &[f64],
     prev_dt: Option<(&[f64], f64)>,
     gmin: f64,
     run: &[bool],
     res: &mut [f64],
-    jacs: &mut [Option<&mut [f64]>],
+    mut jacs: Option<&mut JacTargets<'_>>,
     cur: &mut [f64],
 ) {
+    let np = lanes.get();
     res.fill(0.0);
-    for j in jacs.iter_mut().flatten() {
-        j.fill(0.0);
+    if let Some(jt) = jacs.as_deref_mut() {
+        for k in 0..np {
+            if let Some(j) = jt.at(k) {
+                j.fill(0.0);
+            }
+        }
     }
     let add4 = |j: &mut [f64], p: &PairSlots, g: f64| {
         // jaa, jab, jba, jbb — the historical pair-stamp order.
@@ -629,19 +866,23 @@ fn assemble_plane(
     for stamp in stamps {
         match stamp {
             BStamp::Cond { p, g } => {
-                pair_plane(res, v, np, p, g, None, cur);
-                for (k, j) in jacs.iter_mut().enumerate() {
-                    if let Some(j) = j {
-                        add4(j, p, g.at(k));
+                pair_plane(res, v, lanes, p, g, None, cur);
+                if let Some(jt) = jacs.as_deref_mut() {
+                    for k in 0..np {
+                        if let Some(j) = jt.at(k) {
+                            add4(j, p, g.at(k));
+                        }
                     }
                 }
             }
             BStamp::Cap { p, farads } => {
                 if let Some((prev, dt)) = prev_dt {
-                    pair_plane(res, v, np, p, farads, Some((prev, dt)), cur);
-                    for (k, j) in jacs.iter_mut().enumerate() {
-                        if let Some(j) = j {
-                            add4(j, p, farads.at(k) / dt);
+                    pair_plane(res, v, lanes, p, farads, Some((prev, dt)), cur);
+                    if let Some(jt) = jacs.as_deref_mut() {
+                        for k in 0..np {
+                            if let Some(j) = jt.at(k) {
+                                add4(j, p, farads.at(k) / dt);
+                            }
                         }
                     }
                 }
@@ -672,7 +913,7 @@ fn assemble_plane(
                     if *res1 != ABSENT {
                         res[res1 * np + k] -= e.id;
                     }
-                    if let Some(Some(j)) = jacs.get_mut(k) {
+                    if let Some(j) = jacs.as_deref_mut().and_then(|jt| jt.at(k)) {
                         let gsum = e.gm + e.gds;
                         let vals = if *nmos {
                             [e.gds, e.gm, -gsum, -e.gds, -e.gm, gsum]
@@ -695,8 +936,12 @@ fn assemble_plane(
         for k in 0..np {
             res[out + k] += gmin * v[base + k];
         }
-        for j in jacs.iter_mut().flatten() {
-            j[diag] += gmin;
+        if let Some(jt) = jacs.as_deref_mut() {
+            for k in 0..np {
+                if let Some(j) = jt.at(k) {
+                    j[diag] += gmin;
+                }
+            }
         }
     }
 }
@@ -711,15 +956,16 @@ fn assemble_plane(
 /// vectorize — the value/companion dispatch happens once per stamp,
 /// not once per point. The arithmetic per point is exactly the scalar
 /// stamp's (`dv * g`, `g * (dv - dv_prev)`), keeping bit-identity.
-fn pair_plane(
+fn pair_plane<L: Lanes>(
     res: &mut [f64],
     v: &[f64],
-    np: usize,
+    lanes: L,
     p: &PairSlots,
     val: &PVal,
     cap: Option<(&[f64], f64)>,
     cur: &mut [f64],
 ) {
+    let np = lanes.get();
     let va = &v[p.a * np..p.a * np + np];
     let vb = &v[p.b * np..p.b * np + np];
     match (val, cap) {
@@ -766,7 +1012,7 @@ fn pair_plane(
 
 /// Assembles the *shared* Jacobian of a uniform linear batch (scalar,
 /// value-independent of `v`): conductances, capacitor companions and
-/// the gmin diagonal, in the sequential assembly order. Only legal
+/// the gmin diagonal, in the scalar assembly order. Only legal
 /// when every stamp value is `PVal::Shared`.
 fn assemble_shared_jac(
     stamps: &[BStamp],
@@ -818,7 +1064,15 @@ fn assemble_shared_jac(
 /// first, zero-skipping column-major forward substitution, then back
 /// substitution — so shared-LU batches stay bit-identical to scalar
 /// solves against the same factors.
-fn plane_lu_solve(a: &[f64], piv: &[usize], nu: usize, np: usize, b: &mut [f64], row: &mut [f64]) {
+fn plane_lu_solve<L: Lanes>(
+    a: &[f64],
+    piv: &[usize],
+    nu: usize,
+    lanes: L,
+    b: &mut [f64],
+    row: &mut [f64],
+) {
+    let np = lanes.get();
     for (col, &p) in piv.iter().enumerate() {
         if p != col {
             for k in 0..np {
@@ -916,296 +1170,434 @@ impl Batch<'_> {
     /// Lockstep damped Newton over the `run_init` points: all active
     /// points iterate together; each point drops out of the running
     /// mask the moment its own damped update passes the tolerance
-    /// (recorded in `conv`). Points still running at `max_iter` — or
-    /// hit by a singular factorization — are left with `conv[p] ==
-    /// false`; the caller decides whether that is a retirement or a
-    /// batch-wide step rejection.
+    /// (recorded in `conv`, with the iterations it took in `iters`).
+    /// Points still running at the budget — or hit by a singular
+    /// factorization (`singular`) — are left with `conv[p] == false`;
+    /// the caller decides between recovery, retirement and a batch-wide
+    /// step rejection, and asks [`Batch::failure`] for the error.
     ///
-    /// Per point this reproduces `Solver::newton_full`'s scalar
-    /// arithmetic exactly: same assembly order, same damping fold,
-    /// same LU-cache decisions (per-point workspaces replicate the
-    /// two-bank policy; the shared-LU fast path factorizes the
-    /// Jacobian every point would have produced bit-identically).
-    fn newton_lockstep(
+    /// **Full Newton** refactorizes every iteration; the one exception
+    /// is a linear circuit, whose matrix depends only on the `(dt,
+    /// gmin)` key, so a cached LU under the same key is bit-identical to
+    /// a fresh one. **Modified Newton** (the adaptive path) lets a point
+    /// ride its cached LU in two situations, measured to pay on these
+    /// small systems, where device evaluation dominates every iteration
+    /// and the factorization is nearly free:
+    ///
+    /// * *across steps* — `stale_start[p]` carries the controller's
+    ///   prediction in: when the point's previous solve converged at
+    ///   once (a flat span where the warm start is already the
+    ///   answer), iteration 0 reuses the cached LU;
+    /// * *across iterations* — once a damped update drops below
+    ///   [`JAC_STALE_DV`] the just-factorized LU is still an excellent
+    ///   Newton matrix, and the next iterations (at most
+    ///   [`JAC_STALE_RUN`] in a row) reuse it. A stale iteration that
+    ///   fails to contract the update forces a fresh factorization, so
+    ///   convergence never stalls on a frozen Jacobian.
+    ///
+    /// Stale iterates differ from full Newton's, which the LTE contract
+    /// allows but fixed-step bit-identity does not — hence
+    /// adaptive-only.
+    ///
+    /// Per point the arithmetic is the historical scalar solver's:
+    /// same assembly order, same damping fold, same LU-cache decisions
+    /// (each point's workspace replicates the two-bank policy; the
+    /// shared-LU path factorizes the Jacobian every point would have
+    /// produced bit-identically).
+    fn newton(&mut self, run_init: &[bool], s: &Solve, conv: &mut [bool]) {
+        if self.np == 1 {
+            self.newton_lanes(OneLane, run_init, s, conv);
+        } else {
+            self.newton_lanes(self.np, run_init, s, conv);
+        }
+    }
+
+    /// [`Batch::newton`] over `lanes` points.
+    fn newton_lanes<L: Lanes>(
         &mut self,
+        lanes: L,
         run_init: &[bool],
-        prev_dt: Option<f64>,
-        gmin: f64,
-        max_iter: usize,
-        tol: f64,
+        s: &Solve,
         conv: &mut [bool],
     ) {
-        let np = self.np;
-        let nu = self.nu;
-        let dt_key = prev_dt.unwrap_or(0.0).to_bits();
-        let gmin_key = gmin.to_bits();
-        self.run.copy_from_slice(run_init);
+        let np = lanes.get();
+        let dt_key = s.dt.unwrap_or(0.0).to_bits();
+        let gmin_key = s.gmin.to_bits();
+        self.run[..np].copy_from_slice(&run_init[..np]);
         for p in 0..np {
             if self.run[p] {
                 conv[p] = false;
+                self.singular[p] = false;
+                self.last_dv[p] = f64::INFINITY;
+                self.stale_run[p] = 0;
             }
         }
-        for _iter in 0..max_iter {
-            let n_run = self.run.iter().filter(|&&r| r).count() as u64;
+        for iter in 0..s.max_iter {
+            let n_run = self.run[..np].iter().filter(|&&r| r).count() as u64;
             if n_run == 0 {
                 return;
             }
             self.stats.newton_iterations += n_run;
-            if !self.shared_lu {
-                for p in 0..np {
-                    if self.run[p] {
-                        self.pstats[p].newton_iterations += 1;
-                    }
+            for p in 0..np {
+                if !self.run[p] {
+                    continue;
                 }
+                self.want[p] = if !s.modified {
+                    self.plan.linear
+                } else if iter == 0 {
+                    self.stale_start[p]
+                } else {
+                    self.last_dv[p] < JAC_STALE_DV && self.stale_run[p] < JAC_STALE_RUN
+                };
+                let ps = &mut self.pstats[p];
+                ps.newton_iterations += 1;
+                ps.residual_builds += 1;
             }
             if self.shared_lu {
-                let hit = self.shared_ws.matching(dt_key, gmin_key);
-                let reused = hit.is_some();
-                let bank = match hit {
-                    Some(i) => {
-                        self.shared_ws.mru = i;
-                        self.stats.factorization_reuses += n_run;
-                        i
-                    }
-                    None => {
-                        let b = self.shared_ws.evict_target(dt_key, gmin_key);
-                        assemble_shared_jac(
-                            &self.stamps,
-                            &self.plan.gmin_rows,
-                            prev_dt,
-                            gmin,
-                            &mut self.shared_ws.banks[b].a,
-                        );
-                        self.stats.jacobian_builds += 1;
-                        let bk = &mut self.shared_ws.banks[b];
-                        if !factorize(&mut bk.a, &mut bk.piv, nu) {
-                            bk.valid = false;
-                            // The matrix is shared: every running point
-                            // fails exactly as its sequential solve
-                            // would on the same singular Jacobian.
-                            for r in self.run.iter_mut() {
-                                *r = false;
-                            }
-                            return;
-                        }
-                        self.stats.factorizations += 1;
-                        self.stats.batched_factorizations += 1;
-                        bk.valid = true;
-                        bk.dt = dt_key;
-                        bk.gmin = gmin_key;
-                        self.shared_ws.mru = b;
-                        b
-                    }
-                };
-                let prev_plane = prev_dt.map(|dt| (&self.prev[..], dt));
-                assemble_plane(
-                    &self.stamps,
-                    &self.plan.gmin_rows,
-                    np,
-                    &self.v,
-                    prev_plane,
-                    gmin,
-                    &self.run,
-                    &mut self.res,
-                    &mut [],
-                    &mut self.cur,
-                );
-                self.stats.residual_builds += n_run;
-                // One pass over the per-point stats covers this
-                // iteration's counters; increment order within an
-                // iteration is unobservable.
-                for p in 0..np {
-                    if self.run[p] {
-                        let ps = &mut self.pstats[p];
-                        ps.newton_iterations += 1;
-                        ps.residual_builds += 1;
-                        if reused {
-                            ps.factorization_reuses += 1;
-                        }
-                    }
-                }
-                for x in self.res.iter_mut() {
-                    *x = -*x;
-                }
-                let bk = &self.shared_ws.banks[bank];
-                plane_lu_solve(&bk.a, &bk.piv, nu, np, &mut self.res, &mut self.row);
-                // Damped update: per-point max fold in slot order, then
-                // the node-order application — the sequential sequence.
-                self.maxdv.fill(0.0);
-                let maxdv = &mut self.maxdv[..np];
-                for row in self.res.chunks_exact(np) {
-                    for p in 0..np {
-                        maxdv[p] = maxdv[p].max(row[p].abs());
-                    }
-                }
-                for p in 0..np {
-                    self.scale[p] = if self.maxdv[p] > 0.4 {
-                        0.4 / self.maxdv[p]
-                    } else {
-                        1.0
-                    };
-                }
-                let all_run = n_run == np as u64;
-                for (node, &slot) in self.plan.index.iter().enumerate() {
-                    if let Some(i) = slot {
-                        let vrow = node * np;
-                        let rrow = i * np;
-                        if all_run {
-                            // Every point is live: the unmasked form
-                            // vectorizes and applies the identical
-                            // per-column operation.
-                            let v = &mut self.v[vrow..vrow + np];
-                            let r = &self.res[rrow..rrow + np];
-                            for p in 0..np {
-                                v[p] += self.scale[p] * r[p];
-                            }
-                        } else {
-                            for p in 0..np {
-                                // Branch, don't multiply by a masked
-                                // zero: adding `scale * 0.0` to a
-                                // frozen column would flip -0.0 to
-                                // +0.0 and break bit-identity.
-                                if self.run[p] {
-                                    self.v[vrow + p] += self.scale[p] * self.res[rrow + p];
-                                }
-                            }
-                        }
-                    }
-                }
-                for p in 0..np {
-                    if self.run[p] && self.maxdv[p] * self.scale[p] < tol {
-                        self.run[p] = false;
-                        conv[p] = true;
-                    }
-                }
+                self.newton_shared_lu(lanes, s, dt_key, gmin_key, n_run);
             } else {
-                // Per-point LU path: replicate each point's own
-                // two-bank cache decisions, then do one plane-wide
-                // assembly pass that fills every miss point's bank.
-                self.miss.fill(false);
-                for p in 0..np {
-                    if !self.run[p] {
-                        continue;
-                    }
-                    let ws = &mut self.point_ws[p];
-                    let hit = if self.plan.linear {
-                        ws.matching(dt_key, gmin_key)
+                self.newton_point_lu(lanes, s, dt_key, gmin_key, n_run);
+            }
+            for p in 0..np {
+                if !self.run[p] {
+                    continue;
+                }
+                let upd = self.maxdv[p] * self.scale[p];
+                if upd < s.tol {
+                    self.run[p] = false;
+                    conv[p] = true;
+                    self.iters[p] = iter + 1;
+                } else if s.modified {
+                    if self.stale[p] {
+                        self.stale_run[p] += 1;
+                        // Not contracting on the frozen Jacobian: force
+                        // a fresh factorization next iteration.
+                        self.last_dv[p] = if upd >= self.last_dv[p] {
+                            f64::INFINITY
+                        } else {
+                            upd
+                        };
                     } else {
-                        None
-                    };
-                    match hit {
-                        Some(i) => {
-                            ws.mru = i;
-                            self.bank_of[p] = i;
-                            self.stats.factorization_reuses += 1;
-                            self.pstats[p].factorization_reuses += 1;
-                        }
-                        None => {
-                            self.miss[p] = true;
-                            self.bank_of[p] = ws.evict_target(dt_key, gmin_key);
-                            self.stats.jacobian_builds += 1;
-                            self.pstats[p].jacobian_builds += 1;
-                        }
-                    }
-                }
-                {
-                    let prev_plane = prev_dt.map(|dt| (&self.prev[..], dt));
-                    let miss = &self.miss;
-                    let bank_of = &self.bank_of;
-                    let mut jacs: Vec<Option<&mut [f64]>> = self
-                        .point_ws
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(p, w)| {
-                            if miss[p] {
-                                Some(&mut w.banks[bank_of[p]].a[..])
-                            } else {
-                                None
-                            }
-                        })
-                        .collect();
-                    assemble_plane(
-                        &self.stamps,
-                        &self.plan.gmin_rows,
-                        np,
-                        &self.v,
-                        prev_plane,
-                        gmin,
-                        &self.run,
-                        &mut self.res,
-                        &mut jacs,
-                        &mut self.cur,
-                    );
-                }
-                self.stats.residual_builds += n_run;
-                for p in 0..np {
-                    if self.run[p] {
-                        self.pstats[p].residual_builds += 1;
-                    }
-                }
-                for p in 0..np {
-                    if !self.miss[p] {
-                        continue;
-                    }
-                    let b = self.bank_of[p];
-                    let ws = &mut self.point_ws[p];
-                    let bk = &mut ws.banks[b];
-                    if !factorize(&mut bk.a, &mut bk.piv, nu) {
-                        bk.valid = false;
-                        // Fails exactly like the sequential
-                        // `SingularMatrix` path for this one point.
-                        self.run[p] = false;
-                        continue;
-                    }
-                    self.stats.factorizations += 1;
-                    self.stats.batched_factorizations += 1;
-                    self.pstats[p].factorizations += 1;
-                    bk.valid = true;
-                    bk.dt = dt_key;
-                    bk.gmin = gmin_key;
-                    ws.mru = b;
-                }
-                for p in 0..np {
-                    if !self.run[p] {
-                        continue;
-                    }
-                    for slot in 0..nu {
-                        self.scratch[slot] = -self.res[slot * np + p];
-                    }
-                    let bk = &self.point_ws[p].banks[self.bank_of[p]];
-                    lu_solve(&bk.a, &bk.piv, nu, &mut self.scratch);
-                    let max_dv = self.scratch.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-                    let scale = if max_dv > 0.4 { 0.4 / max_dv } else { 1.0 };
-                    for (node, &slot) in self.plan.index.iter().enumerate() {
-                        if let Some(i) = slot {
-                            self.v[node * np + p] += scale * self.scratch[i];
-                        }
-                    }
-                    if max_dv * scale < tol {
-                        self.run[p] = false;
-                        conv[p] = true;
+                        self.stale_run[p] = 0;
+                        self.last_dv[p] = upd;
                     }
                 }
             }
         }
     }
 
-    /// Lockstep robust DC at time `t`, mirroring `Solver::dc_at` per
-    /// column: mid-supply then zero initial guesses, each with a direct
-    /// attempt, the full gmin ladder (every rung runs even after a rung
-    /// fails, exactly like the sequential flow) and a final direct
-    /// attempt. `solved[p]` reports which `eligible` points converged;
-    /// the rest are the caller's retirements.
-    fn dc_lockstep(&mut self, t: f64, eligible: &[bool], solved: &mut [bool]) {
-        let np = self.np;
-        for s in solved.iter_mut() {
-            *s = false;
+    /// One Newton iteration of a uniform linear batch: one LU (cached or
+    /// fresh) for every running point, one plane solve. The batch rides
+    /// the cached LU only when every running point wants to.
+    fn newton_shared_lu<L: Lanes>(
+        &mut self,
+        lanes: L,
+        s: &Solve,
+        dt_key: u64,
+        gmin_key: u64,
+        n_run: u64,
+    ) {
+        let np = lanes.get();
+        let nu = self.nu;
+        let want = (0..np).all(|p| !self.run[p] || self.want[p]);
+        let hit = if want {
+            self.shared_ws.matching(dt_key, gmin_key)
+        } else {
+            None
+        };
+        let bank = match hit {
+            Some(i) => {
+                self.shared_ws.mru = i;
+                self.stats.factorization_reuses += n_run;
+                for p in 0..np {
+                    if self.run[p] {
+                        self.pstats[p].factorization_reuses += 1;
+                    }
+                }
+                i
+            }
+            None => {
+                let b = self.shared_ws.evict_target(dt_key, gmin_key);
+                assemble_shared_jac(
+                    &self.stamps,
+                    &self.plan.gmin_rows,
+                    s.dt,
+                    s.gmin,
+                    &mut self.shared_ws.banks[b].a,
+                );
+                self.stats.jacobian_builds += 1;
+                let bk = &mut self.shared_ws.banks[b];
+                if !factorize(&mut bk.a, &mut bk.piv, nu) {
+                    bk.valid = false;
+                    // The matrix is shared: every running point fails
+                    // exactly as its own solve would on the same
+                    // singular Jacobian (its residual was assembled
+                    // with that Jacobian).
+                    self.stats.residual_builds += n_run;
+                    for p in 0..np {
+                        if self.run[p] {
+                            self.run[p] = false;
+                            self.singular[p] = true;
+                        }
+                    }
+                    return;
+                }
+                self.stats.factorizations += 1;
+                if self.batched {
+                    self.stats.batched_factorizations += 1;
+                }
+                bk.valid = true;
+                bk.dt = dt_key;
+                bk.gmin = gmin_key;
+                self.shared_ws.mru = b;
+                b
+            }
+        };
+        for p in 0..np {
+            self.stale[p] = hit.is_some();
         }
+        let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
+        assemble_plane(
+            &self.stamps,
+            &self.plan.gmin_rows,
+            lanes,
+            &self.v,
+            prev_plane,
+            s.gmin,
+            &self.run,
+            &mut self.res,
+            None,
+            &mut self.cur,
+        );
+        self.stats.residual_builds += n_run;
+        for x in self.res.iter_mut() {
+            *x = -*x;
+        }
+        let bk = &self.shared_ws.banks[bank];
+        plane_lu_solve(&bk.a, &bk.piv, nu, lanes, &mut self.res, &mut self.row);
+        // Damped update: per-point max fold in slot order, then the
+        // node-order application — the scalar sequence.
+        self.maxdv.fill(0.0);
+        let maxdv = &mut self.maxdv[..np];
+        for row in self.res.chunks_exact(np) {
+            for p in 0..np {
+                maxdv[p] = maxdv[p].max(row[p].abs());
+            }
+        }
+        for p in 0..np {
+            self.scale[p] = if self.maxdv[p] > 0.4 {
+                0.4 / self.maxdv[p]
+            } else {
+                1.0
+            };
+        }
+        let all_run = n_run == np as u64;
+        for (node, &slot) in self.plan.index.iter().enumerate() {
+            if let Some(i) = slot {
+                let vrow = node * np;
+                let rrow = i * np;
+                if all_run {
+                    // Every point is live: the unmasked form vectorizes
+                    // and applies the identical per-column operation.
+                    let v = &mut self.v[vrow..vrow + np];
+                    let r = &self.res[rrow..rrow + np];
+                    for p in 0..np {
+                        v[p] += self.scale[p] * r[p];
+                    }
+                } else {
+                    for p in 0..np {
+                        // Branch, don't multiply by a masked zero:
+                        // adding `scale * 0.0` to a frozen column would
+                        // flip -0.0 to +0.0 and break bit-identity.
+                        if self.run[p] {
+                            self.v[vrow + p] += self.scale[p] * self.res[rrow + p];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One Newton iteration with a workspace per point: each point's
+    /// own two-bank cache decision, one plane-wide assembly pass that
+    /// fills every miss point's bank, then per-point factorization,
+    /// solve and damped update.
+    fn newton_point_lu<L: Lanes>(
+        &mut self,
+        lanes: L,
+        s: &Solve,
+        dt_key: u64,
+        gmin_key: u64,
+        n_run: u64,
+    ) {
+        let np = lanes.get();
+        let nu = self.nu;
+        for p in 0..np {
+            self.miss[p] = false;
+            if !self.run[p] {
+                continue;
+            }
+            let ws = &mut self.point_ws[p];
+            let hit = if self.want[p] {
+                ws.matching(dt_key, gmin_key)
+            } else {
+                None
+            };
+            self.stale[p] = hit.is_some();
+            match hit {
+                Some(i) => {
+                    ws.mru = i;
+                    self.bank_of[p] = i;
+                    self.stats.factorization_reuses += 1;
+                    self.pstats[p].factorization_reuses += 1;
+                }
+                None => {
+                    self.miss[p] = true;
+                    self.bank_of[p] = ws.evict_target(dt_key, gmin_key);
+                    self.stats.jacobian_builds += 1;
+                    self.pstats[p].jacobian_builds += 1;
+                }
+            }
+        }
+        let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
+        assemble_plane(
+            &self.stamps,
+            &self.plan.gmin_rows,
+            lanes,
+            &self.v,
+            prev_plane,
+            s.gmin,
+            &self.run,
+            &mut self.res,
+            Some(&mut JacTargets {
+                ws: &mut self.point_ws,
+                miss: &self.miss,
+                bank_of: &self.bank_of,
+            }),
+            &mut self.cur,
+        );
+        self.stats.residual_builds += n_run;
+        for p in 0..np {
+            if !self.run[p] {
+                continue;
+            }
+            let b = self.bank_of[p];
+            let ws = &mut self.point_ws[p];
+            if self.miss[p] {
+                let bk = &mut ws.banks[b];
+                if !factorize(&mut bk.a, &mut bk.piv, nu) {
+                    bk.valid = false;
+                    self.run[p] = false;
+                    self.singular[p] = true;
+                    continue;
+                }
+                self.stats.factorizations += 1;
+                if self.batched {
+                    self.stats.batched_factorizations += 1;
+                }
+                self.pstats[p].factorizations += 1;
+                bk.valid = true;
+                bk.dt = dt_key;
+                bk.gmin = gmin_key;
+                ws.mru = b;
+            }
+            for slot in 0..nu {
+                self.scratch[slot] = -self.res[slot * np + p];
+            }
+            let bk = &ws.banks[b];
+            lu_solve(&bk.a, &bk.piv, nu, &mut self.scratch);
+            let max_dv = self.scratch.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
+            let scale = if max_dv > 0.4 { 0.4 / max_dv } else { 1.0 };
+            for (node, &slot) in self.plan.index.iter().enumerate() {
+                if let Some(i) = slot {
+                    self.v[node * np + p] += scale * self.scratch[i];
+                }
+            }
+            self.maxdv[p] = max_dv;
+            self.scale[p] = scale;
+        }
+    }
+
+    /// The error of point `p`'s failed solve `s`, called right after
+    /// [`Batch::newton`] while the column still holds the abandoned
+    /// operating point. Non-convergence names the node with the largest
+    /// residual there; the extra device-evaluation pass is diagnostics,
+    /// not solver work, so it is left out of [`SolverStats`].
+    fn failure(&mut self, p: usize, s: &Solve) -> SolverError {
+        if self.singular[p] {
+            return SolverError::SingularMatrix { time: s.time };
+        }
+        let np = self.np;
+        self.run.fill(false);
+        self.run[p] = true;
+        let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
+        assemble_plane(
+            &self.stamps,
+            &self.plan.gmin_rows,
+            np,
+            &self.v,
+            prev_plane,
+            s.gmin,
+            &self.run,
+            &mut self.res,
+            None,
+            &mut self.cur,
+        );
+        let mut worst_slot = None;
+        let mut worst_abs = 0.0f64;
+        for slot in 0..self.nu {
+            let r = self.res[slot * np + p].abs();
+            if r > worst_abs {
+                worst_abs = r;
+                worst_slot = Some(slot);
+            }
+        }
+        let worst_node = worst_slot.and_then(|slot| {
+            self.plan
+                .index
+                .iter()
+                .position(|&s| s == Some(slot))
+                .map(|node| self.circuit.node_name(Node(node)).to_string())
+        });
+        SolverError::NonConvergence {
+            time: s.time,
+            iterations: s.max_iter as u64,
+            worst_node,
+        }
+    }
+
+    /// Lockstep DC at time `t` over the `eligible` points, per point
+    /// the historical robust flow: for each initial guess, a direct
+    /// attempt, the gmin ladder (every rung runs even after a rung
+    /// fails, each failing rung's error kept) and a final direct
+    /// attempt. `solved[p]` reports which points converged; `errs[p]`
+    /// holds the error the others report.
+    fn dc(
+        &mut self,
+        t: f64,
+        eligible: &[bool],
+        seed: DcSeed<'_>,
+        solved: &mut [bool],
+        errs: &mut [Option<SolverError>],
+    ) {
+        let np = self.np;
+        solved.fill(false);
+        for p in 0..np {
+            errs[p] = eligible[p].then(|| SolverError::NonConvergence {
+                time: t,
+                iterations: 0,
+                worst_node: None,
+            });
+        }
+        let (rounds, ladder_gmins, nodeset): (usize, &[f64], &[(Node, f64)]) = match seed {
+            DcSeed::Robust => (2, &DC_LADDER, &[]),
+            DcSeed::Nodeset(nodes) => (1, &NODESET_LADDER, nodes),
+        };
         let mut pending: Vec<bool> = eligible.to_vec();
         let mut conv = vec![false; np];
         let mut ladder = vec![false; np];
         let mut ladder_ok = vec![false; np];
-        for round in 0..2 {
+        for round in 0..rounds {
             if !pending.iter().any(|&x| x) {
                 break;
             }
@@ -1213,6 +1605,9 @@ impl Batch<'_> {
                 if !pending[p] {
                     continue;
                 }
+                // Mid-supply first: the natural basin for self-biased
+                // CMOS (the resistive-feedback inverter settles near
+                // 0.5·VDD); then the all-zero guess.
                 let guess = if round == 0 {
                     0.5 * self.max_source_abs_point(p, t)
                 } else {
@@ -1221,9 +1616,13 @@ impl Batch<'_> {
                 for node in 0..self.nn {
                     self.v[node * np + p] = guess;
                 }
+                for &(node, x) in nodeset {
+                    self.v[node.index() * np + p] = x;
+                }
             }
             self.apply_sources_cols(t, &pending);
-            self.newton_lockstep(&pending, None, 1e-12, 400, 1e-9, &mut conv);
+            let direct = Solve::dc(t, 1e-12);
+            self.newton(&pending, &direct, &mut conv);
             for p in 0..np {
                 ladder[p] = pending[p] && !conv[p];
                 if pending[p] && conv[p] {
@@ -1235,11 +1634,13 @@ impl Batch<'_> {
                 continue;
             }
             ladder_ok.copy_from_slice(&ladder);
-            for gmin in DC_LADDER {
-                self.newton_lockstep(&ladder, None, gmin, 400, 1e-9, &mut conv);
+            for &gmin in ladder_gmins {
+                let rung = Solve::dc(t, gmin);
+                self.newton(&ladder, &rung, &mut conv);
                 for p in 0..np {
                     if ladder[p] && !conv[p] {
                         ladder_ok[p] = false;
+                        errs[p] = Some(self.failure(p, &rung));
                     }
                 }
             }
@@ -1256,7 +1657,7 @@ impl Batch<'_> {
             // Final ladder rung failed but earlier ones may have landed
             // close: one more direct attempt from wherever each column
             // is.
-            self.newton_lockstep(&ladder, None, 1e-12, 400, 1e-9, &mut conv);
+            self.newton(&ladder, &direct, &mut conv);
             for p in 0..np {
                 if ladder[p] && conv[p] {
                     solved[p] = true;
@@ -1266,44 +1667,240 @@ impl Batch<'_> {
         }
     }
 
-    /// Retires every `mask`ed point that did not converge: drops it
-    /// from the lockstep, counts the retirement and discards its
-    /// partial sample buffers.
-    fn retire_failures(
+    /// DC of a one-point batch.
+    fn dc_one(&mut self, t: f64, seed: DcSeed<'_>) -> Result<(), SolverError> {
+        let mut solved = [false];
+        let mut errs = [None];
+        self.dc(t, &[true], seed, &mut solved, &mut errs);
+        match errs[0].take() {
+            Some(e) if !solved[0] => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// DC sweep of a one-point batch: source `source_index` takes each
+    /// of `values` in turn. Each point continues Newton from the
+    /// previous point's solution and falls back to a fresh robust solve.
+    fn dc_sweep(
         &mut self,
-        lockstep: &mut [bool],
-        conv: &[bool],
-        bufs: &mut [Vec<Vec<f64>>],
+        source_index: usize,
+        values: &[f64],
+    ) -> Result<Vec<Vec<f64>>, SolverError> {
+        let one = [true];
+        let mut conv = [false];
+        let mut out = Vec::with_capacity(values.len());
+        for (i, &x) in values.iter().enumerate() {
+            self.srcs[source_index].1 = PStim::Shared(Stimulus::Dc(x));
+            let continued = i > 0 && {
+                self.apply_sources_cols(0.0, &one);
+                self.newton(&one, &Solve::dc(0.0, 1e-12), &mut conv);
+                conv[0]
+            };
+            if !continued {
+                self.dc_one(0.0, DcSeed::Robust)?;
+            }
+            out.push(self.column(0));
+        }
+        Ok(out)
+    }
+
+    /// The non-convergence recovery ladder for the `mask`ed points whose
+    /// backward-Euler step `prev → t` (companion step `dt`) failed.
+    /// Only failures reach it, so a transient in which every step
+    /// converges first try never enters it.
+    ///
+    /// Escalation, cheapest first; each rung restarts from `prev` and
+    /// runs full Newton with a generous budget (a small user budget is
+    /// often *why* the step failed):
+    ///
+    /// 1. **gmin-stepping** — re-solve the same step down a gmin ladder
+    ///    ending at `config.gmin`,
+    /// 2. **source-stepping** — walk the sources from their `t − dt`
+    ///    values to their `t` values in quarter blends, solving at each
+    ///    as a continuation,
+    /// 3. **dt-cut** — integrate the span as four backward-Euler
+    ///    substeps of `dt/4` (a finer discretization of the same span;
+    ///    its endpoint stands in for the failed full step).
+    ///
+    /// On return `ok[p]` tells which points recovered (their columns
+    /// hold the step solution) and the winning rungs are counted.
+    fn recover(
+        &mut self,
+        mask: &[bool],
+        dt: f64,
+        t: f64,
+        config: &TransientConfig,
+        ok: &mut [bool],
     ) {
-        for p in 0..self.np {
-            if lockstep[p] && !conv[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-                bufs[p].clear();
+        let np = self.np;
+        let iters = config.max_newton.max(200);
+        let solve = |dt: f64, gmin: f64, time: f64| Solve {
+            dt: Some(dt),
+            gmin,
+            max_iter: iters,
+            tol: config.tol,
+            time,
+            modified: false,
+        };
+        let mut conv = vec![false; np];
+        let mut alive = mask.to_vec();
+        ok.fill(false);
+        self.stats.recovery_attempts += mask.iter().filter(|&&m| m).count() as u64;
+
+        // Rung 1: gmin-stepping down to the configured gmin.
+        self.restart_from_prev(&alive);
+        self.apply_sources_cols(t, &alive);
+        for g in [1e-6, 1e-8, 1e-10, config.gmin] {
+            self.newton(&alive, &solve(dt, g.max(config.gmin), t), &mut conv);
+            for p in 0..np {
+                alive[p] &= conv[p];
+            }
+        }
+        for p in 0..np {
+            if alive[p] {
+                ok[p] = true;
+                self.stats.recovered_gmin += 1;
+            }
+            alive[p] = mask[p] && !ok[p];
+        }
+
+        // Rung 2: source-stepping from the previous step's values.
+        self.restart_from_prev(&alive);
+        for alpha in [0.25, 0.5, 0.75, 1.0] {
+            self.apply_sources_blend_cols(t - dt, t, alpha, &alive);
+            self.newton(&alive, &solve(dt, config.gmin, t), &mut conv);
+            for p in 0..np {
+                alive[p] &= conv[p];
+            }
+        }
+        for p in 0..np {
+            if alive[p] {
+                ok[p] = true;
+                self.stats.recovered_source += 1;
+            }
+            alive[p] = mask[p] && !ok[p];
+        }
+
+        // Rung 3: dt-cut into four backward-Euler substeps; the
+        // previous-step column walks along with them.
+        self.restart_from_prev(&alive);
+        let sub = 0.25 * dt;
+        for j in 1..=4u32 {
+            let tj = t - dt + f64::from(j) * sub;
+            self.apply_sources_cols(tj, &alive);
+            self.newton(&alive, &solve(sub, config.gmin, tj), &mut conv);
+            for p in 0..np {
+                alive[p] &= conv[p];
+            }
+            for node in 0..self.nn {
+                for p in 0..np {
+                    if alive[p] {
+                        self.prev[node * np + p] = self.v[node * np + p];
+                    }
+                }
+            }
+        }
+        for p in 0..np {
+            if alive[p] {
+                ok[p] = true;
+                self.stats.recovered_dt_cut += 1;
             }
         }
     }
 
-    /// Fixed-step lockstep transient: the batched mirror of
-    /// `Solver::transient_fixed`. Points whose DC or step solve fails
-    /// are retired (`None` in the returned vector) — the sequential
-    /// fallback owns the recovery ladder.
+    /// Handles the points of `lockstep` whose step solve `s` did not
+    /// converge: a multi-point batch retires them; a one-point batch
+    /// runs the recovery ladder and ends the point with the step's
+    /// error only if every rung fails. Returns the points that
+    /// recovered.
+    fn rescue(
+        &mut self,
+        lockstep: &mut [bool],
+        conv: &[bool],
+        s: &Solve,
+        config: &TransientConfig,
+        failed: &mut [Option<SolverError>],
+    ) -> Vec<bool> {
+        let np = self.np;
+        let mask: Vec<bool> = (0..np).map(|p| lockstep[p] && !conv[p]).collect();
+        let mut ok = vec![false; np];
+        if !mask.iter().any(|&m| m) {
+            return ok;
+        }
+        if self.retire {
+            for p in 0..np {
+                if mask[p] {
+                    lockstep[p] = false;
+                    self.stats.batch_retirements += 1;
+                }
+            }
+            return ok;
+        }
+        let errs: Vec<Option<SolverError>> = (0..np)
+            .map(|p| mask[p].then(|| self.failure(p, s)))
+            .collect();
+        let dt = s.dt.expect("transient step");
+        self.recover(&mask, dt, s.time, config, &mut ok);
+        for (p, err) in errs.into_iter().enumerate() {
+            if let Some(err) = err.filter(|_| !ok[p]) {
+                self.end_point(p, lockstep, failed, err);
+            }
+        }
+        ok
+    }
+
+    /// Runs the DC operating point at `t = 0` for the `lockstep`
+    /// points and takes the failures out.
+    fn initial_dc(&mut self, lockstep: &mut [bool], failed: &mut [Option<SolverError>]) {
+        let np = self.np;
+        let mut solved = vec![false; np];
+        let mut errs = vec![None; np];
+        let eligible = lockstep.to_vec();
+        self.dc(0.0, &eligible, DcSeed::Robust, &mut solved, &mut errs);
+        for p in 0..np {
+            if lockstep[p] && !solved[p] {
+                let err = errs[p].take().expect("failed point has an error");
+                self.end_point(p, lockstep, failed, err);
+            }
+        }
+    }
+
+    /// Transient of every `lockstep` point under `config`.
+    fn transient(&mut self, config: &TransientConfig) -> Vec<Outcome> {
+        let mut lockstep = vec![true; self.np];
+        let mut failed = vec![None; self.np];
+        self.initial_dc(&mut lockstep, &mut failed);
+        let waves = match config.step {
+            StepMode::Fixed(dt) => self.run_fixed(dt, config, &mut lockstep, &mut failed),
+            StepMode::Adaptive {
+                dt_min,
+                dt_max,
+                lte_tol,
+            } => self.run_adaptive(dt_min, dt_max, lte_tol, config, &mut lockstep, &mut failed),
+        };
+        waves
+            .into_iter()
+            .zip(failed)
+            .map(|(w, e)| match (w, e) {
+                (Some(w), _) => Some(Ok(w)),
+                (None, Some(e)) => Some(Err(e)),
+                (None, None) => None,
+            })
+            .collect()
+    }
+
+    /// Fixed-step lockstep transient: uniform backward-Euler steps of
+    /// `dt` from the DC point. Returns the waveforms of the points still
+    /// in the lockstep at the end.
     fn run_fixed(
         &mut self,
         dt: f64,
         config: &TransientConfig,
         lockstep: &mut [bool],
-    ) -> Vec<Option<TransientResult>> {
+        failed: &mut [Option<SolverError>],
+    ) -> Vec<Option<Vec<Waveform>>> {
         let np = self.np;
         let nn = self.nn;
-        let mut solved = vec![false; np];
-        self.dc_lockstep(0.0, lockstep, &mut solved);
-        for p in 0..np {
-            if lockstep[p] && !solved[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-            }
-        }
         let steps = (config.t_end / dt).ceil() as usize;
         let rows = steps + 1;
         // One preallocated `rows`-long buffer per `(node, point)`
@@ -1311,8 +1908,8 @@ impl Batch<'_> {
         // plane — recording a step is a single sweep zipping `v`
         // against the buffers, with no per-sample `Vec` bookkeeping,
         // and each buffer is handed to its `Waveform` without a copy.
-        // Retired points keep their buffers (garbage past retirement);
-        // the output loop skips them.
+        // Points that left the lockstep keep their buffers (garbage
+        // past the exit); the output loop skips them.
         let mut bufs: Vec<Vec<f64>> = (0..nn * np).map(|_| vec![0.0; rows]).collect();
         self.prev.copy_from_slice(&self.v);
         let mut conv = vec![false; np];
@@ -1331,20 +1928,9 @@ impl Batch<'_> {
                 }
                 let t = k as f64 * dt;
                 self.apply_sources_cols(t, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(dt),
-                    config.gmin,
-                    config.max_newton,
-                    config.tol,
-                    &mut conv,
-                );
-                for p in 0..np {
-                    if lockstep[p] && !conv[p] {
-                        lockstep[p] = false;
-                        self.stats.batch_retirements += 1;
-                    }
-                }
+                let s = Solve::step(dt, config, config.tol, t, false);
+                self.newton(lockstep, &s, &mut conv);
+                self.rescue(lockstep, &conv, &s, config, failed);
                 for (s, &vi) in views.iter_mut().zip(self.v.iter()) {
                     s[k] = vi;
                 }
@@ -1357,33 +1943,34 @@ impl Batch<'_> {
                 }
             }
         }
-        let mut out = Vec::with_capacity(np);
-        for p in 0..np {
-            if !lockstep[p] {
-                out.push(None);
-                continue;
-            }
-            let waveforms = (0..nn)
-                .map(|node| Waveform::new(0.0, dt, std::mem::take(&mut bufs[node * np + p])))
-                .collect();
-            out.push(Some(TransientResult {
-                waveforms,
-                stats: self.pstats[p],
-            }));
-        }
-        out
+        (0..np)
+            .map(|p| {
+                lockstep[p].then(|| {
+                    (0..nn)
+                        .map(|node| {
+                            Waveform::new(0.0, dt, std::mem::take(&mut bufs[node * np + p]))
+                        })
+                        .collect()
+                })
+            })
+            .collect()
     }
 
-    /// Adaptive lockstep transient on the union time grid: one shared
-    /// step controller (candidate `h`, budget, floor streak) drives the
-    /// whole batch, each candidate step is accepted or rejected on the
-    /// **worst point's** LTE, and per-point masks handle convergence
-    /// inside each Newton solve. A Newton failure above the floor
+    /// Adaptive lockstep transient on the union time grid: one step
+    /// controller (candidate `h`, budget, floor streak) drives the
+    /// batch; each candidate step is accepted or rejected on the worst
+    /// point's LTE, and per-point masks handle convergence inside each
+    /// Newton solve. Every point keeps its own modified-Newton state.
+    ///
+    /// Plain steps take one backward-Euler solve and estimate the LTE
+    /// from the second divided difference across the last two spans;
+    /// history-less steps (the start of the run) take the rigorous
+    /// step-doubling probe — one solve at `h`, two at `h/2`, whose gap
+    /// bounds the LTE. Accepted spans are linearly resampled onto the
+    /// uniform `dt_min` output grid. A Newton failure above the floor
     /// rejects the step for the whole batch (retry at smaller `h`); a
-    /// failure *at* the floor retires just the failing points, since
-    /// every converged column is independently valid. Because the
-    /// controller is shared, per-point results are not bit-identical to
-    /// sequential adaptive runs — they agree within the LTE bound.
+    /// failure *at* the floor has no smaller step to retry at, so it
+    /// goes to [`Batch::rescue`].
     fn run_adaptive(
         &mut self,
         dt_min: f64,
@@ -1391,7 +1978,8 @@ impl Batch<'_> {
         lte_tol: f64,
         config: &TransientConfig,
         lockstep: &mut [bool],
-    ) -> Vec<Option<TransientResult>> {
+        failed: &mut [Option<SolverError>],
+    ) -> Vec<Option<Vec<Waveform>>> {
         assert!(dt_min > 0.0, "dt_min must be positive");
         assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
         assert!(lte_tol > 0.0, "lte_tol must be positive");
@@ -1401,14 +1989,6 @@ impl Batch<'_> {
         let n_out = (config.t_end / out_dt).ceil() as usize;
         let t_stop = n_out as f64 * out_dt;
 
-        let mut solved = vec![false; np];
-        self.dc_lockstep(0.0, lockstep, &mut solved);
-        for p in 0..np {
-            if lockstep[p] && !solved[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-            }
-        }
         let mut bufs: Vec<Vec<Vec<f64>>> = (0..np)
             .map(|p| {
                 if lockstep[p] {
@@ -1419,17 +1999,35 @@ impl Batch<'_> {
             })
             .collect();
         push_plane(&mut bufs, &self.v, lockstep, np);
+        // Next output-grid index to fill; accepted spans lerp onto it.
         let mut next_out = 1usize;
         let mut t = 0.0f64;
         let mut h = dt_min;
         let mut floor_streak = 0usize;
+        // History of the last accepted span, for the divided-difference
+        // LTE of plain steps. `h_prev == 0` means no usable history: the
+        // next step must be a doubling probe.
         let mut h_prev = 0.0f64;
+        let mut v_prevstep = vec![0.0; nn * np];
+        // Runaway guard: an accepted floor step advances at least
+        // dt_min and a rejection halves h, so this bound is generous.
         let mut budget: u64 = 16 * n_out as u64 + 4096;
         let mut v_cur = self.v.clone();
         let mut v_big = vec![0.0; nn * np];
         let mut v_half = vec![0.0; nn * np];
-        let mut v_prevstep = vec![0.0; nn * np];
+        let mut worst = vec![0usize; np];
         let mut conv = vec![false; np];
+        // `stale_start` doubles as each point's fast streak: did its
+        // last solve converge at once, so the next may open on the
+        // cached LU?
+        self.stale_start.fill(false);
+        // The LTE bound, not the Newton tolerance, limits accuracy in
+        // this mode — solving each step far below the accepted
+        // truncation error only burns device evaluations. The big probe
+        // step exists purely as the LTE probe, so it gets an even looser
+        // target.
+        let ntol = config.tol.max(0.03 * lte_tol);
+        let ntol_big = config.tol.max(0.1 * lte_tol);
         let any_failed =
             |lockstep: &[bool], conv: &[bool]| lockstep.iter().zip(conv).any(|(&l, &c)| l && !c);
 
@@ -1439,42 +2037,55 @@ impl Batch<'_> {
             }
             budget = budget.saturating_sub(1);
             if budget == 0 {
-                // The shared controller is out of steps: retire the
-                // whole remaining batch; each fallback re-runs with its
-                // own sequential budget (and error reporting).
                 for p in 0..np {
                     if lockstep[p] {
-                        lockstep[p] = false;
-                        self.stats.batch_retirements += 1;
+                        let err = SolverError::NonConvergence {
+                            time: t,
+                            iterations: 0,
+                            worst_node: None,
+                        };
+                        self.end_point(p, lockstep, failed, err);
                     }
                 }
                 break;
             }
             let h_eff = h.min(t_stop - t);
+            // A fast source move shifts the operating point: the cached
+            // LU no longer approximates the Jacobian there. Solution
+            // history stays — the divided-difference LTE sees any real
+            // discontinuity as huge curvature and rejects the step on
+            // its own, which is exactly the right response.
             if self.source_jump_any(t, t + h_eff, lockstep) > SOURCE_JUMP_V {
                 self.invalidate_ws();
             }
-            let ntol = config.tol.max(0.03 * lte_tol);
-            let ntol_big = config.tol.max(0.1 * lte_tol);
+            v_cur.copy_from_slice(&self.v);
+            self.prev.copy_from_slice(&v_cur);
             if h_eff <= dt_min * (1.0 + 1e-9) {
-                // Floor step: accept whatever converges; failures here
-                // have no smaller step to retry at, so they retire.
-                v_cur.copy_from_slice(&self.v);
-                self.prev.copy_from_slice(&v_cur);
+                // At the floor there is nothing to refine against: take
+                // the backward-Euler step and accept it.
                 self.apply_sources_cols(t + h_eff, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(h_eff),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    &mut conv,
-                );
-                self.retire_failures(lockstep, &conv, &mut bufs);
+                let s = Solve::step(h_eff, config, ntol, t + h_eff, true);
+                self.newton(lockstep, &s, &mut conv);
+                let recovered = self.rescue(lockstep, &conv, &s, config, failed);
                 for p in 0..np {
-                    if lockstep[p] {
-                        self.stats.steps_taken += 1;
-                        self.pstats[p].steps_taken += 1;
+                    if !lockstep[p] {
+                        continue;
+                    }
+                    if recovered[p] {
+                        // Resume with a cold LU cache.
+                        self.invalidate_point(p);
+                        self.iters[p] = SLOW_STEP_ITERS;
+                    }
+                    self.stale_start[p] = self.iters[p] <= 1;
+                    if self.iters[p] > SLOW_STEP_ITERS {
+                        self.invalidate_point(p);
+                    }
+                    self.stats.steps_taken += 1;
+                    self.pstats[p].steps_taken += 1;
+                }
+                for p in 0..np {
+                    if !lockstep[p] {
+                        bufs[p].clear();
                     }
                 }
                 emit_plane(
@@ -1494,40 +2105,37 @@ impl Batch<'_> {
                 t += h_eff;
                 floor_streak += 1;
                 if floor_streak >= 4 {
+                    // Probe growth: the next step is LTE-tested, so a
+                    // wrong guess costs one rejection, not accuracy.
                     h = (2.0 * dt_min).min(dt_max);
                     floor_streak = 0;
                 }
                 continue;
             }
             floor_streak = 0;
-            if h_prev > 0.0 {
-                // Plain step with the divided-difference LTE.
-                v_cur.copy_from_slice(&self.v);
+
+            let (lte, steps) = if h_prev > 0.0 {
+                // Plain step: with an accepted span behind us, one solve
+                // suffices — the LTE comes free from the second divided
+                // difference across the last two spans, scale-matched to
+                // the doubling defect (both are h²·v''/4 estimators).
+                // Warm start by linear extrapolation of the last span
+                // (source rows get overwritten below).
                 for i in 0..nn * np {
-                    // Warm start: linear extrapolation of the last
-                    // span (source rows get overwritten below).
                     self.v[i] = v_cur[i] + (v_cur[i] - v_prevstep[i]) * (h_eff / h_prev);
                 }
-                self.prev.copy_from_slice(&v_cur);
                 self.apply_sources_cols(t + h_eff, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(h_eff),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    &mut conv,
-                );
+                let s = Solve::step(h_eff, config, ntol, t + h_eff, true);
+                self.newton(lockstep, &s, &mut conv);
                 if any_failed(lockstep, &conv) {
-                    // One straggler rejects the step for everyone —
-                    // above the floor this is a retry, not a failure.
-                    self.v.copy_from_slice(&v_cur);
-                    self.invalidate_ws();
-                    self.stats.steps_rejected += 1;
-                    h = (0.5 * h_eff).max(dt_min);
+                    self.reject_newton(&v_cur, &mut h, h_eff, dt_min);
                     continue;
                 }
-                let mut lte_worst = 0.0f64;
+                for p in 0..np {
+                    worst[p] = self.iters[p];
+                    self.stale_start[p] = self.iters[p] <= 1;
+                }
+                let mut lte = 0.0f64;
                 for p in 0..np {
                     if !lockstep[p] {
                         continue;
@@ -1537,16 +2145,115 @@ impl Batch<'_> {
                         let d1 = (self.v[i] - v_cur[i]) / h_eff;
                         let d0 = (v_cur[i] - v_prevstep[i]) / h_prev;
                         let vpp = 2.0 * (d1 - d0) / (h_eff + h_prev);
-                        lte_worst = lte_worst.max((0.25 * h_eff * h_eff * vpp).abs());
+                        lte = lte.max((0.25 * h_eff * h_eff * vpp).abs());
                     }
                 }
-                if lte_worst <= lte_tol {
-                    for p in 0..np {
-                        if lockstep[p] {
-                            self.stats.steps_taken += 1;
-                            self.pstats[p].steps_taken += 1;
-                        }
+                (lte, 1)
+            } else {
+                // History-less: the step-doubling probe. The half-step
+                // solves warm-start from the big-step solution (midpoint
+                // lerp, then the endpoint itself) — pure initial
+                // guesses; the Newton tolerance decides accuracy.
+                let half = 0.5 * h_eff;
+                self.apply_sources_cols(t + h_eff, lockstep);
+                self.newton(
+                    lockstep,
+                    &Solve::step(h_eff, config, ntol_big, t + h_eff, true),
+                    &mut conv,
+                );
+                if any_failed(lockstep, &conv) {
+                    self.reject_newton(&v_cur, &mut h, h_eff, dt_min);
+                    continue;
+                }
+                for p in 0..np {
+                    worst[p] = self.iters[p];
+                    self.stale_start[p] = self.iters[p] <= 1;
+                }
+                v_big.copy_from_slice(&self.v);
+                for i in 0..nn * np {
+                    self.v[i] = 0.5 * (v_cur[i] + v_big[i]);
+                }
+                self.apply_sources_cols(t + half, lockstep);
+                self.newton(
+                    lockstep,
+                    &Solve::step(half, config, ntol, t + half, true),
+                    &mut conv,
+                );
+                if any_failed(lockstep, &conv) {
+                    self.reject_newton(&v_cur, &mut h, h_eff, dt_min);
+                    continue;
+                }
+                for p in 0..np {
+                    worst[p] = worst[p].max(self.iters[p]);
+                    self.stale_start[p] = self.iters[p] <= 1;
+                }
+                v_half.copy_from_slice(&self.v);
+                self.v.copy_from_slice(&v_big);
+                self.prev.copy_from_slice(&v_half);
+                self.apply_sources_cols(t + h_eff, lockstep);
+                self.newton(
+                    lockstep,
+                    &Solve::step(half, config, ntol, t + h_eff, true),
+                    &mut conv,
+                );
+                if any_failed(lockstep, &conv) {
+                    self.reject_newton(&v_cur, &mut h, h_eff, dt_min);
+                    continue;
+                }
+                for p in 0..np {
+                    worst[p] = worst[p].max(self.iters[p]);
+                    self.stale_start[p] = worst[p] <= 1;
+                }
+                let mut lte = 0.0f64;
+                for p in 0..np {
+                    if !lockstep[p] {
+                        continue;
                     }
+                    for node in 0..nn {
+                        let i = node * np + p;
+                        lte = lte.max((v_big[i] - self.v[i]).abs());
+                    }
+                }
+                (lte, 2)
+            };
+            if lte <= lte_tol {
+                for p in 0..np {
+                    if !lockstep[p] {
+                        continue;
+                    }
+                    if worst[p] > SLOW_STEP_ITERS {
+                        self.invalidate_point(p);
+                    }
+                    self.stats.steps_taken += steps;
+                    self.pstats[p].steps_taken += steps;
+                }
+                if steps == 2 {
+                    let half = 0.5 * h_eff;
+                    emit_plane(
+                        &mut bufs,
+                        &mut next_out,
+                        n_out,
+                        out_dt,
+                        t,
+                        &v_cur,
+                        t + half,
+                        &v_half,
+                        lockstep,
+                        np,
+                    );
+                    emit_plane(
+                        &mut bufs,
+                        &mut next_out,
+                        n_out,
+                        out_dt,
+                        t + half,
+                        &v_half,
+                        t + h_eff,
+                        &self.v,
+                        lockstep,
+                        np,
+                    );
+                } else {
                     emit_plane(
                         &mut bufs,
                         &mut next_out,
@@ -1559,174 +2266,66 @@ impl Batch<'_> {
                         lockstep,
                         np,
                     );
-                    v_prevstep.copy_from_slice(&v_cur);
-                    h_prev = h_eff;
-                    t += h_eff;
-                    h = if lte_worst < 0.25 * lte_tol {
-                        (2.0 * h_eff).min(dt_max)
-                    } else if lte_worst < 0.6 * lte_tol {
-                        h_eff.min(dt_max)
-                    } else {
-                        (0.8 * h_eff).max(dt_min)
-                    };
-                } else {
-                    self.stats.steps_rejected += 1;
-                    self.v.copy_from_slice(&v_cur);
-                    let shrink = (0.9 * (lte_tol / lte_worst).sqrt()).clamp(0.1, 0.5);
-                    h = (shrink * h_eff).max(dt_min);
                 }
-                continue;
-            }
-            // History-less: rigorous step-doubling probe (one big step
-            // against two half steps; their gap bounds the LTE).
-            let half = 0.5 * h_eff;
-            v_cur.copy_from_slice(&self.v);
-            self.prev.copy_from_slice(&v_cur);
-            self.apply_sources_cols(t + h_eff, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(h_eff),
-                config.gmin,
-                config.max_newton,
-                ntol_big,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            v_big.copy_from_slice(&self.v);
-            for i in 0..nn * np {
-                self.v[i] = 0.5 * (v_cur[i] + v_big[i]);
-            }
-            self.prev.copy_from_slice(&v_cur);
-            self.apply_sources_cols(t + half, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(half),
-                config.gmin,
-                config.max_newton,
-                ntol,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            v_half.copy_from_slice(&self.v);
-            self.v.copy_from_slice(&v_big);
-            self.prev.copy_from_slice(&v_half);
-            self.apply_sources_cols(t + h_eff, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(half),
-                config.gmin,
-                config.max_newton,
-                ntol,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            let mut lte_worst = 0.0f64;
-            for p in 0..np {
-                if !lockstep[p] {
-                    continue;
-                }
-                for node in 0..nn {
-                    let i = node * np + p;
-                    lte_worst = lte_worst.max((v_big[i] - self.v[i]).abs());
-                }
-            }
-            if lte_worst <= lte_tol {
-                for p in 0..np {
-                    if lockstep[p] {
-                        self.stats.steps_taken += 2;
-                        self.pstats[p].steps_taken += 2;
-                    }
-                }
-                emit_plane(
-                    &mut bufs,
-                    &mut next_out,
-                    n_out,
-                    out_dt,
-                    t,
-                    &v_cur,
-                    t + half,
-                    &v_half,
-                    lockstep,
-                    np,
-                );
-                emit_plane(
-                    &mut bufs,
-                    &mut next_out,
-                    n_out,
-                    out_dt,
-                    t + half,
-                    &v_half,
-                    t + h_eff,
-                    &self.v,
-                    lockstep,
-                    np,
-                );
                 v_prevstep.copy_from_slice(&v_cur);
                 h_prev = h_eff;
                 t += h_eff;
-                h = if lte_worst < 0.25 * lte_tol {
+                h = if lte < 0.25 * lte_tol {
                     (2.0 * h_eff).min(dt_max)
-                } else if lte_worst < 0.6 * lte_tol {
+                } else if lte < 0.6 * lte_tol {
                     h_eff.min(dt_max)
                 } else {
+                    // Hysteresis: an LTE brushing the bound would
+                    // oscillate accept/reject at a fixed h; back off a
+                    // little while still accepting.
                     (0.8 * h_eff).max(dt_min)
                 };
             } else {
+                // Proportional back-off: the LTE of a first-order method
+                // scales as h², so jump straight to the step the
+                // measured LTE implies instead of cascading through
+                // halvings.
                 self.stats.steps_rejected += 1;
                 self.v.copy_from_slice(&v_cur);
-                let shrink = (0.9 * (lte_tol / lte_worst).sqrt()).clamp(0.1, 0.5);
+                let shrink = (0.9 * (lte_tol / lte).sqrt()).clamp(0.1, 0.5);
                 h = (shrink * h_eff).max(dt_min);
             }
         }
         // Float drift can leave the last grid points unfilled; hold the
-        // final value, like the sequential loop.
-        let mut out = Vec::with_capacity(np);
-        for p in 0..np {
-            if !lockstep[p] {
-                out.push(None);
-                continue;
-            }
-            let mut pb = std::mem::take(&mut bufs[p]);
-            for buf in pb.iter_mut() {
-                while buf.len() < n_out + 1 {
-                    let last = *buf.last().expect("has the DC sample");
-                    buf.push(last);
-                }
-            }
-            let waveforms = pb
-                .into_iter()
-                .map(|samples| Waveform::new(0.0, out_dt, samples))
-                .collect();
-            out.push(Some(TransientResult {
-                waveforms,
-                stats: self.pstats[p],
-            }));
-        }
-        out
+        // final value.
+        (0..np)
+            .map(|p| {
+                lockstep[p].then(|| {
+                    std::mem::take(&mut bufs[p])
+                        .into_iter()
+                        .map(|mut samples| {
+                            while samples.len() < n_out + 1 {
+                                let last = *samples.last().expect("has the DC sample");
+                                samples.push(last);
+                            }
+                            Waveform::new(0.0, out_dt, samples)
+                        })
+                        .collect()
+                })
+            })
+            .collect()
+    }
+
+    /// A Newton failure above the adaptive floor: restore the step's
+    /// start, drop every cached LU and fast streak, and retry at half
+    /// the step.
+    fn reject_newton(&mut self, v_cur: &[f64], h: &mut f64, h_eff: f64, dt_min: f64) {
+        self.v.copy_from_slice(v_cur);
+        self.invalidate_ws();
+        self.stale_start.fill(false);
+        self.stats.steps_rejected += 1;
+        *h = (0.5 * h_eff).max(dt_min);
     }
 }
 
 /// Per-point outcomes of [`Solver::run_transient_batched`]: one
 /// `Result` per input [`PointOverride`], in input order, plus the
-/// merged batch statistics (lockstep work and retirement fallbacks
+/// merged batch statistics (lockstep work and retirement re-solves
 /// combined).
 #[derive(Debug)]
 pub struct BatchedTransientResult {
@@ -1745,7 +2344,7 @@ impl BatchedTransientResult {
         self.results
     }
 
-    /// Statistics for the whole batch (lockstep plus fallbacks). The
+    /// Statistics for the whole batch (lockstep plus re-solves). The
     /// batched counters (`batched_points`, `batch_retirements`,
     /// `batched_factorizations`) live here.
     pub fn stats(&self) -> &SolverStats {
@@ -1772,36 +2371,69 @@ impl BatchedDcResult {
         self.results
     }
 
-    /// Statistics for the whole batch (lockstep plus fallbacks).
+    /// Statistics for the whole batch (lockstep plus re-solves).
     pub fn stats(&self) -> &SolverStats {
         &self.stats
     }
 }
 
+/// A one-point transient of `circuit`: its waveforms and counters.
+pub(super) fn transient_one(
+    plan: &StampPlan,
+    circuit: &Circuit,
+    config: &TransientConfig,
+) -> (Result<Vec<Waveform>, SolverError>, SolverStats) {
+    let mut batch = Batch::single(plan, circuit);
+    let out = batch
+        .transient(config)
+        .pop()
+        .flatten()
+        .expect("a one-point batch never retires");
+    (out, batch.stats)
+}
+
+/// A one-point DC solve of `circuit` at time `t`.
+pub(super) fn dc_one(
+    plan: &StampPlan,
+    circuit: &Circuit,
+    t: f64,
+    seed: DcSeed<'_>,
+) -> (Result<Vec<f64>, SolverError>, SolverStats) {
+    let mut batch = Batch::single(plan, circuit);
+    let out = batch.dc_one(t, seed).map(|()| batch.column(0));
+    (out, batch.stats)
+}
+
+/// A one-point DC sweep of source `source_index` over `values`, with
+/// continuation from each point to the next.
+pub(super) fn dc_sweep_one(
+    plan: &StampPlan,
+    circuit: &Circuit,
+    source_index: usize,
+    values: &[f64],
+) -> (Result<Vec<Vec<f64>>, SolverError>, SolverStats) {
+    let mut batch = Batch::single(plan, circuit);
+    let out = batch.dc_sweep(source_index, values);
+    (out, batch.stats)
+}
+
 impl Solver<'_> {
     /// Solves one transient per [`PointOverride`] in lockstep against
     /// this solver's circuit and compiled plan. Results come back in
-    /// input order; each point's entry is exactly what a sequential
+    /// input order; each point's entry is exactly what
     /// [`Solver::run_transient`] of
     /// [`PointOverride::circuit_for_point`] would return — bit-identical
-    /// in `Fixed` mode (retired points literally run that fallback,
+    /// in `Fixed` mode (retired points literally run that solve,
     /// recovery ladder included), LTE-bounded in `Adaptive` mode.
     ///
     /// # Panics
     ///
-    /// Panics if a source override is set (encode sweep values as
-    /// [`PointOverride`] sources instead), or if an override breaks the
-    /// shared topology.
+    /// Panics if an override breaks the shared topology.
     pub fn run_transient_batched(
         &mut self,
         points: &[PointOverride],
         config: &TransientConfig,
     ) -> BatchedTransientResult {
-        assert!(
-            self.source_override.is_none(),
-            "run_transient_batched does not compose with set_source_override; \
-             encode per-point sweep values as PointOverride sources"
-        );
         let np = points.len();
         if np == 0 {
             return BatchedTransientResult {
@@ -1813,37 +2445,29 @@ impl Solver<'_> {
         let before = self.stats;
         let started = Instant::now();
         self.stats.batched_points += np as u64;
-        let mut lockstep = vec![true; np];
-        let (partial, bstats) = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points);
-            let out = match config.step {
-                StepMode::Fixed(dt) => batch.run_fixed(dt, config, &mut lockstep),
-                StepMode::Adaptive {
-                    dt_min,
-                    dt_max,
-                    lte_tol,
-                } => batch.run_adaptive(dt_min, dt_max, lte_tol, config, &mut lockstep),
-            };
-            (out, batch.stats)
+        let (partial, pstats) = {
+            let mut batch = Batch::new(&self.plan, self.circuit, points, true);
+            let out = batch.transient(config);
+            self.stats.merge(&batch.stats);
+            (out, batch.pstats)
         };
-        self.stats.merge(&bstats);
         self.stats.total_time += started.elapsed();
-        // Emit the lockstep share now: each retirement fallback below
+        // Emit the lockstep share now: each retirement re-solve below
         // runs `run_transient`, which emits its own telemetry delta —
         // emitting once at the end would double-count them.
         self.stats.since(&before).record_telemetry();
         let mut results = Vec::with_capacity(np);
-        for (p, out) in partial.into_iter().enumerate() {
-            match out {
-                Some(r) => results.push(Ok(r)),
+        for (p, (out, stats)) in partial.into_iter().zip(pstats).enumerate() {
+            results.push(match out {
+                Some(r) => r.map(|waveforms| TransientResult { waveforms, stats }),
                 None => {
                     let pc = points[p].circuit_for_point(self.circuit);
-                    let mut seq = Solver::new(&pc);
-                    let r = seq.run_transient(config);
-                    self.stats.merge(&seq.stats);
-                    results.push(r);
+                    let mut alone = Solver::new(&pc);
+                    let r = alone.run_transient(config);
+                    self.stats.merge(&alone.stats);
+                    r
                 }
-            }
+            });
         }
         let stats = self.stats.since(&before);
         BatchedTransientResult { results, stats }
@@ -1851,20 +2475,14 @@ impl Solver<'_> {
 
     /// Solves one DC operating point per [`PointOverride`] in lockstep.
     /// Per point the flow (and in the uniform fixed-topology case, the
-    /// arithmetic) is the sequential robust DC solve; points the
-    /// lockstep cannot converge are retired to
-    /// [`super::dc_operating_point`] on their materialized circuit.
+    /// arithmetic) is the robust DC solve; points the lockstep cannot
+    /// converge are retired to [`super::dc_operating_point`] on their
+    /// materialized circuit.
     ///
     /// # Panics
     ///
-    /// Panics if a source override is set or an override breaks the
-    /// shared topology.
+    /// Panics if an override breaks the shared topology.
     pub fn dc_batched(&mut self, points: &[PointOverride]) -> BatchedDcResult {
-        assert!(
-            self.source_override.is_none(),
-            "dc_batched does not compose with set_source_override; \
-             encode per-point sweep values as PointOverride sources"
-        );
         let np = points.len();
         if np == 0 {
             return BatchedDcResult {
@@ -1876,43 +2494,41 @@ impl Solver<'_> {
         let before = self.stats;
         let started = Instant::now();
         self.stats.batched_points += np as u64;
-        let (cols, bstats) = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points);
-            let eligible = vec![true; np];
+        let cols: Vec<Option<Result<Vec<f64>, SolverError>>> = {
+            let mut batch = Batch::new(&self.plan, self.circuit, points, true);
             let mut solved = vec![false; np];
-            batch.dc_lockstep(0.0, &eligible, &mut solved);
-            let mut cols: Vec<Option<Vec<f64>>> = Vec::with_capacity(np);
-            for p in 0..np {
-                if solved[p] {
-                    cols.push(Some(
-                        (0..batch.nn).map(|node| batch.v[node * np + p]).collect(),
-                    ));
-                } else {
-                    batch.stats.batch_retirements += 1;
-                    cols.push(None);
-                }
-            }
-            (cols, batch.stats)
+            let mut errs = vec![None; np];
+            batch.dc(0.0, &vec![true; np], DcSeed::Robust, &mut solved, &mut errs);
+            let cols = (0..np)
+                .map(|p| {
+                    if solved[p] {
+                        Some(Ok(batch.column(p)))
+                    } else if batch.retire {
+                        batch.stats.batch_retirements += 1;
+                        None
+                    } else {
+                        errs[p].take().map(Err)
+                    }
+                })
+                .collect();
+            self.stats.merge(&batch.stats);
+            cols
         };
-        self.stats.merge(&bstats);
         self.stats.total_time += started.elapsed();
-        // Lockstep share only — retirement fallbacks emit their own.
+        // Lockstep share only — retirement re-solves emit their own.
         self.stats.since(&before).record_telemetry();
         let mut results = Vec::with_capacity(np);
         for (p, col) in cols.into_iter().enumerate() {
-            match col {
-                Some(v) => results.push(Ok(v)),
+            results.push(match col {
+                Some(r) => r,
                 None => {
                     let pc = points[p].circuit_for_point(self.circuit);
-                    match super::dc_operating_point(&pc) {
-                        Ok(sol) => {
-                            self.stats.merge(sol.stats());
-                            results.push(Ok(sol.into_voltages()));
-                        }
-                        Err(e) => results.push(Err(e)),
-                    }
+                    super::dc_operating_point(&pc).map(|sol| {
+                        self.stats.merge(sol.stats());
+                        sol.into_voltages()
+                    })
                 }
-            }
+            });
         }
         let stats = self.stats.since(&before);
         BatchedDcResult { results, stats }
@@ -1920,9 +2536,7 @@ impl Solver<'_> {
 }
 
 /// One `DC_SWEEP_BATCH`-sized chunk of a batched DC sweep, as one
-/// lockstep batch. This is the worker body of
-/// [`super::dc_sweep_with_threads`]; exposed to the parent module so
-/// the shim and [`dc_sweep_batched`] share one code path.
+/// lockstep batch: the worker body of [`super::dc_sweep_with_threads`].
 pub(super) fn dc_sweep_chunk(
     circuit: &Circuit,
     source_index: usize,
@@ -1942,40 +2556,45 @@ pub(super) fn dc_sweep_chunk(
     Ok((points, stats))
 }
 
-/// Batched DC sweep: overrides source `source_index` across `values`,
-/// solving `DC_SWEEP_BATCH`-point lockstep batches, and returns the
-/// full node-voltage vector per point in input order. Point results are
-/// batch-boundary independent (each point runs the robust per-point DC
-/// flow on its own state plane), so this returns exactly what
-/// [`super::dc_sweep_with_threads`] returns at any thread count.
-///
-/// # Errors
-///
-/// Returns the first solver failure in input order.
-///
-/// # Panics
-///
-/// Panics if `source_index` is out of range, or (in debug builds) if
-/// the circuit fails the [`crate::drc`] gate.
-pub fn dc_sweep_batched(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-) -> Result<DcSweepResult, SolverError> {
-    crate::drc::debug_check(circuit);
-    assert!(
-        source_index < circuit.sources().len(),
-        "source index out of range"
-    );
-    let _span = telemetry::span("analog.dc_sweep");
-    let started = Instant::now();
-    let mut points = Vec::with_capacity(values.len());
-    let mut stats = SolverStats::default();
-    for chunk in values.chunks(DC_SWEEP_BATCH) {
-        let (chunk_points, chunk_stats) = dc_sweep_chunk(circuit, source_index, chunk)?;
-        points.extend(chunk_points);
-        stats.merge(&chunk_stats);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::primitives::{add_inverter, InverterSize};
+    use openserdes_pdk::corner::Pvt;
+
+    #[test]
+    fn nonconvergence_error_names_worst_residual_node() {
+        let pvt = Pvt::nominal();
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let vin = c.node("vin");
+        let vout = c.node("vout");
+        c.vsource(vdd, Stimulus::Dc(pvt.vdd.value()));
+        c.vsource(vin, Stimulus::Dc(0.0));
+        add_inverter(&mut c, &pvt, InverterSize::unit(), vin, vout, vdd);
+        let plan = StampPlan::new(&c);
+        let mut batch = Batch::single(&plan, &c);
+        // One damped iteration from an all-zero guess cannot pull the
+        // output to VDD, so this must fail — with diagnostics.
+        let one = [true];
+        let mut conv = [false];
+        batch.apply_sources_cols(0.0, &one);
+        let solve = Solve {
+            max_iter: 1,
+            ..Solve::dc(0.0, 1e-12)
+        };
+        batch.newton(&one, &solve, &mut conv);
+        assert!(!conv[0], "one iteration cannot converge");
+        match batch.failure(0, &solve) {
+            SolverError::NonConvergence {
+                iterations,
+                worst_node,
+                ..
+            } => {
+                assert_eq!(iterations, 1);
+                assert_eq!(worst_node.as_deref(), Some("vout"));
+            }
+            other => panic!("expected NonConvergence, got {other}"),
+        }
     }
-    stats.total_time = started.elapsed();
-    Ok(DcSweepResult { points, stats })
 }

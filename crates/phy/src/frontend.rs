@@ -349,11 +349,9 @@ impl RxFrontEnd {
     /// [`RxFrontEnd::vtc`] fanned across `threads` workers. Each
     /// fixed-width chunk is solved by the batched multi-point DC engine
     /// (all points of a chunk iterate in lockstep on one stamp plan),
-    /// so the result is worker-count-independent **and** bit-identical
-    /// to `openserdes_analog::dc_sweep_batched` on the same grid.
-    /// Individual points may still differ from the sequential
-    /// [`RxFrontEnd::vtc`], which warm-starts each point from its
-    /// neighbour (continuation).
+    /// so the result is worker-count-independent bit for bit.
+    /// Individual points may still differ from [`RxFrontEnd::vtc`],
+    /// which warm-starts each point from its neighbour (continuation).
     ///
     /// # Errors
     ///

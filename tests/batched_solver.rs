@@ -4,14 +4,12 @@
 //! solve of that point's materialized circuit — including batches where
 //! some points retire into the sequential recovery ladder — and in
 //! `Adaptive` mode must track the sequential adaptive run within a
-//! small multiple of `lte_tol`. The `dc_sweep` shim must return exactly
-//! the batched engine's output at every thread count.
+//! small multiple of `lte_tol`. The batched `dc_sweep_with_threads` must
+//! return the same output at every thread count.
 
 use openserdes::analog::primitives::{add_inverter_chain, InverterSize};
 use openserdes::analog::solver::{dc_sweep_with_threads, Solver, TransientConfig};
-use openserdes::analog::{
-    dc_sweep_batched, Circuit, Element, Node, PointOverride, Stimulus, Waveform,
-};
+use openserdes::analog::{Circuit, Element, Node, PointOverride, Stimulus, Waveform};
 use openserdes::pdk::corner::Pvt;
 use proptest::prelude::*;
 
@@ -275,9 +273,9 @@ fn point_override_diff_roundtrip() {
     assert!(PointOverride::diff(&base, &other).is_none());
 }
 
-/// The `dc_sweep_with_threads` shim must return exactly the batched
-/// engine's output, bit for bit, at every worker count — the PR 4
-/// exact-equivalence style.
+/// `dc_sweep_with_threads` must return exactly its one-worker output,
+/// bit for bit, at every worker count: the batch boundaries do not
+/// depend on the worker count.
 #[test]
 fn dc_sweep_shim_matches_batched_engine_exactly() {
     let pvt = Pvt::nominal();
@@ -292,8 +290,8 @@ fn dc_sweep_shim_matches_batched_engine_exactly() {
     c.capacitor(*outs.last().expect("stages"), c.gnd(), 10e-15);
     // 70 points spans three 32-point batches unevenly.
     let xs: Vec<f64> = (0..70).map(|i| vdd_v * i as f64 / 69.0).collect();
-    let want = dc_sweep_batched(&c, 1, &xs).expect("batched sweep");
-    for threads in [1usize, 2, 4, 8] {
+    let want = dc_sweep_with_threads(&c, 1, &xs, 1).expect("one-worker sweep");
+    for threads in [2usize, 4, 8] {
         let got = dc_sweep_with_threads(&c, 1, &xs, threads).expect("threaded sweep");
         assert_eq!(got.len(), want.len());
         for (i, (gp, wp)) in got.iter().zip(want.iter()).enumerate() {

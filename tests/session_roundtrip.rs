@@ -114,17 +114,3 @@ fn sweeps_are_identical() {
         .expect("session sweep");
     assert_eq!(old, new);
 }
-
-#[test]
-fn transient_config_builder_matches_old_constructors() {
-    use openserdes::analog::solver::TransientConfig;
-    assert_eq!(TransientConfig::to(5e-9), TransientConfig::until(5e-9));
-    assert_eq!(
-        TransientConfig::with_dt(5e-9, 2e-12),
-        TransientConfig::until(5e-9).with_fixed_dt(2e-12)
-    );
-    assert_eq!(
-        TransientConfig::adaptive(5e-9, 1e-12, 64e-12, 1e-3),
-        TransientConfig::until(5e-9).with_adaptive_steps(1e-12, 64e-12, 1e-3)
-    );
-}
