@@ -327,6 +327,23 @@ mod tests {
     }
 
     #[test]
+    fn bisection_at_zero_or_negative_tolerance_terminates() {
+        let threshold = 17.318_530_717_958_647;
+        for tol in [0.0, -1.0] {
+            for threads in [1, 4] {
+                let (lo, hi) = bisect_speculative(0.0, 60.0, tol, threads, |x| {
+                    Ok::<bool, std::convert::Infallible>(x < threshold)
+                })
+                .unwrap();
+                // The bracket ends as two adjacent floats around the
+                // threshold.
+                assert!(lo < threshold && threshold <= hi, "tol={tol}: [{lo}, {hi}]");
+                assert_eq!(lo.to_bits() + 1, hi.to_bits(), "tol={tol}: [{lo}, {hi}]");
+            }
+        }
+    }
+
+    #[test]
     fn speculative_bisection_propagates_used_probe_errors() {
         // Fail only on the first midpoint — which every walk must use.
         let r = bisect_speculative(0.0, 1.0, 1e-3, 4, |x| {

@@ -43,7 +43,7 @@ use crate::link::{FaultReport, LinkConfig, LinkReport, LinkStats};
 use crate::serializer::{Frame, LANES};
 use crate::sweep::parallel::CornerPoint;
 use crate::sweep::{BathtubPoint, Sweep, SweepPoint};
-use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
+use openserdes_fault::FaultSchedule;
 use openserdes_flow::ir::Design;
 use openserdes_flow::{FlowResult, StaReport};
 use openserdes_lint::{LintReport, Severity};
@@ -634,111 +634,6 @@ fn parse_design(v: &Json) -> Result<DesignSpec, String> {
     }
 }
 
-fn push_fault_schedule(out: &mut String, s: &FaultSchedule) {
-    let _ = write!(out, "{{\"seed\":{},\"events\":[", s.seed());
-    for (i, e) in s.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"at_ui\":{},\"kind\":\"{}\"", e.at_ui, e.kind.tag());
-        match &e.kind {
-            FaultKind::BurstNoise {
-                duration_ui,
-                flip_prob,
-            } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"flip_prob\":");
-                json::push_f64(out, *flip_prob);
-            }
-            FaultKind::Dropout { duration_ui, level } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"level\":{level}");
-            }
-            FaultKind::SupplyDroop {
-                duration_ui,
-                peak_flip_prob,
-            } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"peak_flip_prob\":");
-                json::push_f64(out, *peak_flip_prob);
-            }
-            FaultKind::PhaseGlitch { offset_samples } => {
-                let _ = write!(out, ",\"offset_samples\":{offset_samples}");
-            }
-            FaultKind::ClockDrift {
-                duration_ui,
-                slip_period_ui,
-                late,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"duration_ui\":{duration_ui},\"slip_period_ui\":{slip_period_ui},\"late\":{late}"
-                );
-            }
-            FaultKind::SeuCdrPhase { bit } => {
-                let _ = write!(out, ",\"bit\":{bit}");
-            }
-            FaultKind::SeuDeserializer { lane, bit } => {
-                let _ = write!(out, ",\"lane\":{lane},\"bit\":{bit}");
-            }
-            FaultKind::StuckAtNet { net, value } => {
-                out.push_str(",\"net\":");
-                json::push_quoted(out, net);
-                let _ = write!(out, ",\"value\":{value}");
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-}
-
-fn parse_fault_schedule(v: &Json) -> Result<FaultSchedule, String> {
-    let obj = v.as_obj("faults")?;
-    let mut schedule = FaultSchedule::new(json::get(obj, "seed")?.as_u64("seed")?);
-    for (i, ev) in json::get(obj, "events")?
-        .as_arr("events")?
-        .iter()
-        .enumerate()
-    {
-        let eobj = ev.as_obj("event")?;
-        let at_ui = json::get(eobj, "at_ui")?.as_u64("at_ui")?;
-        let tag = json::get(eobj, "kind")?.as_str("kind")?;
-        let kind = match tag {
-            "burst_noise" => FaultKind::BurstNoise {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                flip_prob: json::get(eobj, "flip_prob")?.as_f64("flip_prob")?,
-            },
-            "dropout" => FaultKind::Dropout {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                level: json::get(eobj, "level")?.as_bool("level")?,
-            },
-            "supply_droop" => FaultKind::SupplyDroop {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                peak_flip_prob: json::get(eobj, "peak_flip_prob")?.as_f64("peak_flip_prob")?,
-            },
-            "phase_glitch" => FaultKind::PhaseGlitch {
-                offset_samples: json::get(eobj, "offset_samples")?.as_i32("offset_samples")?,
-            },
-            "clock_drift" => FaultKind::ClockDrift {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                slip_period_ui: json::get(eobj, "slip_period_ui")?.as_u64("slip_period_ui")?,
-                late: json::get(eobj, "late")?.as_bool("late")?,
-            },
-            "seu_cdr_phase" => FaultKind::SeuCdrPhase {
-                bit: json::get(eobj, "bit")?.as_u32("bit")?,
-            },
-            "seu_deserializer" => FaultKind::SeuDeserializer {
-                lane: json::get(eobj, "lane")?.as_u32("lane")?,
-                bit: json::get(eobj, "bit")?.as_u32("bit")?,
-            },
-            "stuck_at_net" => FaultKind::StuckAtNet {
-                net: json::get(eobj, "net")?.as_str("net")?.to_string(),
-                value: json::get(eobj, "value")?.as_bool("value")?,
-            },
-            other => return Err(format!("events[{i}]: unknown fault kind `{other}`")),
-        };
-        schedule.push(FaultEvent { at_ui, kind });
-    }
-    Ok(schedule)
-}
-
 fn push_link_report(out: &mut String, r: &LinkReport) {
     let _ = write!(
         out,
@@ -796,7 +691,7 @@ impl Request {
                 out.push_str(",\"frames\":");
                 push_frames(out, frames);
                 out.push_str(",\"faults\":");
-                push_fault_schedule(out, schedule);
+                schedule.push_compact_json(out);
                 out.push('}');
             }
             Request::RunFlow { design, pvt } => {
@@ -890,7 +785,7 @@ impl Request {
             "run_link_with_faults" => Ok(Request::RunLinkWithFaults {
                 config: parse_link_config(json::get(obj, "config")?)?,
                 frames: parse_frames(json::get(obj, "frames")?)?,
-                schedule: parse_fault_schedule(json::get(obj, "faults")?)?,
+                schedule: FaultSchedule::from_json_body(json::get(obj, "faults")?)?,
             }),
             "run_flow" => Ok(Request::RunFlow {
                 design: parse_design(json::get(obj, "design")?)?,

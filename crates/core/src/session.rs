@@ -552,6 +552,15 @@ fn check_request(request: &Request) -> Result<(), Error> {
             });
         }
     }
+    if let Some(tol) = loss_sweep
+        .map(|sweep| sweep.tol_db)
+        .filter(|tol| !(tol.is_finite() && *tol > 0.0))
+    {
+        return Err(Error::InvalidInput {
+            field: "sweep.tol_db",
+            reason: format!("{tol} dB is not a finite bisection tolerance > 0"),
+        });
+    }
     if loss_sweep.is_some_and(|sweep| sweep.frames == 0) {
         return Err(Error::InvalidInput {
             field: "sweep.frames",

@@ -103,6 +103,11 @@ pub(crate) fn max_loss_impl(
     }
     while hi - lo > tol_db {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            // Adjacent floats: the bracket cannot shrink any further
+            // (a tolerance at or below one ulp would loop forever).
+            break;
+        }
         if error_free(mid)? {
             lo = mid;
         } else {
@@ -607,6 +612,21 @@ pub fn eye_width_at(curve: &[BathtubPoint], target: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn loss_bisection_at_zero_or_negative_tolerance_terminates() {
+        // Rate and corner sweeps bisect through this loop; a tolerance
+        // at or below one ulp used to stall it on adjacent floats.
+        let cfg = LinkConfig::paper_default();
+        let coarse = max_loss_impl(&cfg, 1, 1.0).expect("bisects");
+        for tol in [0.0, -1.0] {
+            let exact = max_loss_impl(&cfg, 1, tol).expect("bisects");
+            assert!(
+                (coarse..=coarse + 1.0).contains(&exact),
+                "tol={tol}: {exact}"
+            );
+        }
+    }
 
     #[test]
     fn fig9_shapes_hold() {

@@ -2,6 +2,12 @@
 //! codec (`openserdes_telemetry::json`). Writing formats `f64` as the
 //! shortest exact round-trip and `u64` in full, so
 //! `from_json(to_json(s)) == s` bit-for-bit.
+//!
+//! Two layouts share one event writer and one event reader: the
+//! self-describing document of [`FaultSchedule::to_json`], and the
+//! compact `{"seed":…,"events":[…]}` body the job API embeds in its
+//! canonical request encoding ([`FaultSchedule::push_compact_json`],
+//! [`FaultSchedule::from_json_body`]).
 
 use crate::{FaultError, FaultEvent, FaultKind, FaultSchedule};
 use openserdes_telemetry::json::{self, get, Json};
@@ -21,7 +27,7 @@ impl FaultSchedule {
         );
         for (k, e) in self.events().iter().enumerate() {
             out.push_str(if k == 0 { "\n    " } else { ",\n    " });
-            push_event(&mut out, e);
+            push_event(&mut out, e, Layout::PRETTY);
         }
         if self.events().is_empty() {
             out.push_str("]\n}\n");
@@ -42,6 +48,33 @@ impl FaultSchedule {
     pub fn from_json(text: &str) -> Result<Self, FaultError> {
         parse_schedule(text).map_err(FaultError::Parse)
     }
+
+    /// Appends the compact body `{"seed":…,"events":[…]}` (no schema
+    /// tag, no whitespace): the layout the job API embeds in its
+    /// canonical request encoding.
+    pub fn push_compact_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"seed\":{},\"events\":[", self.seed());
+        for (k, e) in self.events().iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            push_event(out, e, Layout::COMPACT);
+        }
+        out.push_str("]}");
+    }
+
+    /// Reads a `{"seed":…,"events":[…]}` body (as written by
+    /// [`FaultSchedule::push_compact_json`]) from a parsed value, with
+    /// the same checks as [`FaultSchedule::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field on missing fields, unknown
+    /// fault kinds, out-of-range integers or a flip probability that is
+    /// not a finite value in `[0, 1]`.
+    pub fn from_json_body(v: &Json) -> Result<Self, String> {
+        parse_body(v.as_obj("faults")?)
+    }
 }
 
 fn parse_schedule(text: &str) -> Result<FaultSchedule, String> {
@@ -51,6 +84,10 @@ fn parse_schedule(text: &str) -> Result<FaultSchedule, String> {
     if schema != SCHEMA {
         return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
     }
+    parse_body(obj)
+}
+
+fn parse_body(obj: &[(String, Json)]) -> Result<FaultSchedule, String> {
     let mut schedule = FaultSchedule::new(get(obj, "seed")?.as_u64("seed")?);
     for (i, ev) in get(obj, "events")?.as_arr("events")?.iter().enumerate() {
         schedule.push(parse_event(ev).map_err(|msg| format!("events[{i}]: {msg}"))?);
@@ -58,10 +95,44 @@ fn parse_schedule(text: &str) -> Result<FaultSchedule, String> {
     Ok(schedule)
 }
 
-fn push_event(out: &mut String, e: &FaultEvent) {
+/// The punctuation of one event object.
+#[derive(Clone, Copy)]
+struct Layout {
+    open: &'static str,
+    /// Between a key and its value.
+    colon: &'static str,
+    /// Between two fields.
+    comma: &'static str,
+    close: &'static str,
+}
+
+impl Layout {
+    /// `{ "at_ui": 100, "kind": "dropout" }` — the schedule document.
+    const PRETTY: Self = Self {
+        open: "{ ",
+        colon: ": ",
+        comma: ", ",
+        close: " }",
+    };
+    /// `{"at_ui":100,"kind":"dropout"}` — the job encoding.
+    const COMPACT: Self = Self {
+        open: "{",
+        colon: ":",
+        comma: ",",
+        close: "}",
+    };
+}
+
+fn push_event(out: &mut String, e: &FaultEvent, l: Layout) {
+    let Layout {
+        open,
+        colon: c,
+        comma: s,
+        close,
+    } = l;
     let _ = write!(
         out,
-        "{{ \"at_ui\": {}, \"kind\": \"{}\"",
+        "{open}\"at_ui\"{c}{}{s}\"kind\"{c}\"{}\"",
         e.at_ui,
         e.kind.tag()
     );
@@ -70,11 +141,14 @@ fn push_event(out: &mut String, e: &FaultEvent) {
             duration_ui,
             flip_prob,
         } => {
-            let _ = write!(out, ", \"duration_ui\": {duration_ui}, \"flip_prob\": ");
+            let _ = write!(out, "{s}\"duration_ui\"{c}{duration_ui}{s}\"flip_prob\"{c}");
             json::push_f64(out, *flip_prob);
         }
         FaultKind::Dropout { duration_ui, level } => {
-            let _ = write!(out, ", \"duration_ui\": {duration_ui}, \"level\": {level}");
+            let _ = write!(
+                out,
+                "{s}\"duration_ui\"{c}{duration_ui}{s}\"level\"{c}{level}"
+            );
         }
         FaultKind::SupplyDroop {
             duration_ui,
@@ -82,12 +156,12 @@ fn push_event(out: &mut String, e: &FaultEvent) {
         } => {
             let _ = write!(
                 out,
-                ", \"duration_ui\": {duration_ui}, \"peak_flip_prob\": "
+                "{s}\"duration_ui\"{c}{duration_ui}{s}\"peak_flip_prob\"{c}"
             );
             json::push_f64(out, *peak_flip_prob);
         }
         FaultKind::PhaseGlitch { offset_samples } => {
-            let _ = write!(out, ", \"offset_samples\": {offset_samples}");
+            let _ = write!(out, "{s}\"offset_samples\"{c}{offset_samples}");
         }
         FaultKind::ClockDrift {
             duration_ui,
@@ -96,22 +170,22 @@ fn push_event(out: &mut String, e: &FaultEvent) {
         } => {
             let _ = write!(
                 out,
-                ", \"duration_ui\": {duration_ui}, \"slip_period_ui\": {slip_period_ui}, \"late\": {late}"
+                "{s}\"duration_ui\"{c}{duration_ui}{s}\"slip_period_ui\"{c}{slip_period_ui}{s}\"late\"{c}{late}"
             );
         }
         FaultKind::SeuCdrPhase { bit } => {
-            let _ = write!(out, ", \"bit\": {bit}");
+            let _ = write!(out, "{s}\"bit\"{c}{bit}");
         }
         FaultKind::SeuDeserializer { lane, bit } => {
-            let _ = write!(out, ", \"lane\": {lane}, \"bit\": {bit}");
+            let _ = write!(out, "{s}\"lane\"{c}{lane}{s}\"bit\"{c}{bit}");
         }
         FaultKind::StuckAtNet { net, value } => {
-            out.push_str(", \"net\": ");
+            let _ = write!(out, "{s}\"net\"{c}");
             json::push_quoted(out, net);
-            let _ = write!(out, ", \"value\": {value}");
+            let _ = write!(out, "{s}\"value\"{c}{value}");
         }
     }
-    out.push_str(" }");
+    out.push_str(close);
 }
 
 /// Reads a flip probability, refusing anything that is not a finite

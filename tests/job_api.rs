@@ -447,3 +447,80 @@ fn run_link_at_nan_rate_is_rejected() {
         .expect("valid link job runs");
     assert!(matches!(response, Response::Link(_)));
 }
+
+/// A loss bisection with a tolerance at or below zero used to never
+/// return (the bracket stalls on adjacent floats), and a NaN tolerance
+/// answered 0 dB. All three sweep kinds refuse such a tolerance.
+#[test]
+fn bisection_tolerance_must_be_finite_and_positive() {
+    let mut config = LinkConfig::paper_default();
+    config.data_rate = Hertz::from_ghz(2.0);
+    for tol_db in [0.0, -1.0, f64::NAN] {
+        let sweep = SweepSpec {
+            tol_db,
+            ..small_sweep(2)
+        };
+        for request in [
+            Request::MaxLoss {
+                config: config.clone(),
+                sweep,
+            },
+            Request::RateSweep {
+                config: config.clone(),
+                sweep,
+                rates: vec![Hertz::from_ghz(2.0)],
+            },
+            Request::CornerSweep {
+                config: config.clone(),
+                sweep,
+            },
+        ] {
+            let reason = assert_refused(&request, "sweep.tol_db");
+            assert!(reason.contains("tolerance"), "{reason}");
+        }
+    }
+}
+
+/// The typed builder takes any tolerance; a zero one must still return
+/// (the bisection stops once the bracket is two adjacent floats).
+#[test]
+fn typed_max_loss_with_zero_tolerance_returns() {
+    let config = LinkConfig::paper_default();
+    let exact = Sweep::new()
+        .with_frames(1)
+        .with_tolerance_db(0.0)
+        .max_loss(&config)
+        .expect("bisects");
+    let coarse = Sweep::new()
+        .with_frames(1)
+        .with_tolerance_db(1.0)
+        .max_loss(&config)
+        .expect("bisects");
+    assert!(
+        (coarse..=coarse + 1.0).contains(&exact),
+        "{exact} dB vs {coarse} dB at 1 dB"
+    );
+}
+
+/// A fault-injection job reads its schedule through the fault codec, so
+/// a flip probability that is no probability (`"nan"`, `"inf"`, 1.5) is
+/// refused, exactly as `FaultSchedule::from_json` refuses it.
+#[test]
+fn fault_job_with_non_probability_flip_is_rejected() {
+    let request = Request::RunLinkWithFaults {
+        config: LinkConfig::paper_default(),
+        frames: vec![[0u32; 8]; 2],
+        schedule: campaign(CampaignKind::BurstNoise, 1, 512),
+    };
+    let json = request.to_canonical_json();
+    let (head, tail) = json
+        .split_once("\"flip_prob\":")
+        .expect("burst noise event");
+    let value_len = tail.find([',', '}']).expect("value ends");
+    assert!(Request::from_json(&json).is_ok(), "the valid job parses");
+    for bad in ["\"nan\"", "\"inf\"", "1.5", "-0.5"] {
+        let text = format!("{head}\"flip_prob\":{bad}{}", &tail[value_len..]);
+        let err = Request::from_json(&text).expect_err("non-probability must be refused");
+        assert!(err.to_string().contains("flip_prob"), "{bad}: {err}");
+    }
+}
