@@ -16,9 +16,11 @@
 //!   residual) are resolved **once**, so assembly is a linear walk over
 //!   precomputed slots with zero allocation and zero index translation
 //!   per Newton iteration.
-//! * [`Solver`] — the plan plus a workspace of flat buffers
-//!   (Jacobian/LU banks, pivots, residual) that every solve reuses. The
-//!   LU factorization is cached: pure-linear circuits (RC channels)
+//! * [`batched`] — the one Newton/DC/transient engine. It solves a
+//!   batch of operating points of one topology in lockstep; every plain
+//!   entry point ([`transient`], [`dc_operating_point`], [`dc_sweep`],
+//!   [`Solver::run_transient`], …) is a batch of one point. Each point
+//!   keeps a two-bank LU cache: pure-linear circuits (RC channels)
 //!   factorize exactly once per `(dt, gmin)` pair for an entire
 //!   transient; nonlinear circuits reuse a stale factorization under
 //!   modified Newton when the adaptive path is active.
@@ -234,15 +236,18 @@ pub struct SolverStats {
     pub recovered_source: u64,
     /// Recoveries resolved by the dt-cut rung.
     pub recovered_dt_cut: u64,
-    /// Points that entered a batched (lockstep multi-point) solve.
+    /// Points that entered a batched (lockstep multi-point) solve
+    /// through [`Solver::run_transient_batched`] or
+    /// [`Solver::dc_batched`].
     pub batched_points: u64,
-    /// Points retired early from a lockstep batch (DC or step failure,
-    /// budget exhaustion) and re-solved sequentially through the full
-    /// recovery ladder.
+    /// Points retired early from a multi-point batch (DC or step
+    /// failure, budget exhaustion) and re-solved as one-point batches
+    /// through the full recovery ladder.
     pub batch_retirements: u64,
-    /// LU factorizations performed inside the batched lockstep engine
-    /// (a subset of `factorizations`). On a uniform linear batch each
-    /// one is computed once and shared across every active point.
+    /// LU factorizations performed inside a batch entered through a
+    /// batched entry point (a subset of `factorizations`). On a uniform
+    /// linear batch each one is computed once and shared across every
+    /// active point.
     pub batched_factorizations: u64,
     /// Wall-clock time spent inside the solver.
     pub total_time: Duration,

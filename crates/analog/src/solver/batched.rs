@@ -138,7 +138,7 @@ impl PointOverride {
     /// two circuits share a topology: same node count, same element
     /// kinds/terminals (MOS polarity included), same source nodes.
     /// Returns `None` when the circuits differ structurally — the
-    /// caller should fall back to a sequential solve then. This is how
+    /// caller should fall back to a one-point solve then. This is how
     /// corner sweeps batch: build each corner's circuit with the
     /// existing builders and diff it against the nominal one.
     pub fn diff(base: &Circuit, variant: &Circuit) -> Option<Self> {
@@ -172,8 +172,8 @@ impl PointOverride {
     /// Materializes this point's circuit: a clone of `base` with the
     /// overrides applied via [`Circuit::set_element`] /
     /// [`Circuit::set_source_stimulus`]. This is what retirement runs
-    /// the sequential solver on, which is why batched results match
-    /// sequential solves of exactly this circuit.
+    /// as a one-point batch, which is why batched results match
+    /// one-point solves of exactly this circuit.
     ///
     /// # Panics
     ///
@@ -270,7 +270,7 @@ impl PStim {
 
 /// One element's stamp widened across the point dimension. Slot order
 /// inside each variant mirrors [`super::Stamp`] exactly — per-point
-/// bit-identity rides on reproducing the sequential `+=` sequence.
+/// bit-identity rides on reproducing the scalar `+=` sequence.
 #[derive(Debug, Clone)]
 enum BStamp {
     Cond {
@@ -349,6 +349,25 @@ pub(super) enum DcSeed<'n> {
     Nodeset(&'n [(Node, f64)]),
 }
 
+/// One point's Newton bookkeeping.
+#[derive(Debug, Clone, Copy, Default)]
+struct Track {
+    /// Modified Newton: open the next solve on the cached LU (the last
+    /// solve converged at once — the fast streak).
+    stale_start: bool,
+    /// Iterations the last solve used.
+    iters: usize,
+    /// Modified Newton inside one solve: this iteration wants a stale
+    /// LU, rode one, the last damped update, consecutive stale
+    /// iterations.
+    want: bool,
+    stale: bool,
+    last_dv: f64,
+    stale_run: usize,
+    /// The last solve failed on a singular factorization.
+    singular: bool,
+}
+
 /// A point's transient outcome: `None` when it was retired from a
 /// multi-point batch (the caller re-solves it alone).
 type Outcome = Option<Result<Vec<Waveform>, SolverError>>;
@@ -382,8 +401,9 @@ struct Batch<'a> {
     prev: Vec<f64>,
     /// Residual / Newton-update plane, `res[slot * np + p]`.
     res: Vec<f64>,
-    shared_ws: Workspace,
-    point_ws: Vec<Workspace>,
+    /// LU caches: one shared by the whole batch when `shared_lu`, else
+    /// one per point.
+    ws: Vec<Workspace>,
     /// Per-point damped-update magnitude and damping scale.
     maxdv: Vec<f64>,
     scale: Vec<f64>,
@@ -398,19 +418,8 @@ struct Batch<'a> {
     miss: Vec<bool>,
     bank_of: Vec<usize>,
     run: Vec<bool>,
-    /// Modified Newton, per point: open the next solve on the cached LU
-    /// (the last solve converged at once — the `fast_streak`).
-    stale_start: Vec<bool>,
-    /// Iterations the last solve used, per point.
-    iters: Vec<usize>,
-    /// Modified-Newton bookkeeping inside one solve, per point: wants a
-    /// stale LU this iteration, rode one, last update, stale run.
-    want: Vec<bool>,
-    stale: Vec<bool>,
-    last_dv: Vec<f64>,
-    stale_run: Vec<usize>,
-    /// The last solve failed on a singular factorization, per point.
-    singular: Vec<bool>,
+    /// Per-point Newton bookkeeping.
+    track: Vec<Track>,
     /// Batch-level counters.
     stats: SolverStats,
     /// Per-point share of the counters that are cleanly attributable
@@ -440,10 +449,10 @@ impl<'a> Batch<'a> {
         let nu = plan.n_unknown;
         let base_elements = circuit.elements();
 
-        // Effective override element per (element, point); later
-        // overrides of the same index win, matching
-        // `circuit_for_point`'s application order.
-        let mut eff: Vec<Vec<Option<&Element>>> = vec![vec![None; np]; base_elements.len()];
+        // Effective override element per (element, point), for the
+        // overridden elements only; later overrides of the same index
+        // win, matching `circuit_for_point`'s application order.
+        let mut eff: Vec<Option<Vec<Option<&Element>>>> = vec![None; base_elements.len()];
         for (pi, ov) in points.iter().enumerate() {
             for (i, e) in &ov.elements {
                 assert!(
@@ -470,7 +479,7 @@ impl<'a> Batch<'a> {
                     }
                     Element::Mos { .. } => {}
                 }
-                eff[*i][pi] = Some(e);
+                eff[*i].get_or_insert_with(|| vec![None; np])[pi] = Some(e);
             }
         }
 
@@ -480,16 +489,16 @@ impl<'a> Batch<'a> {
             .iter()
             .enumerate()
             .map(|(ei, stamp)| match *stamp {
-                super::Stamp::Conductance { g, p } => {
-                    if eff[ei].iter().all(Option::is_none) {
-                        BStamp::Cond {
-                            p,
-                            g: PVal::Shared(g),
-                        }
-                    } else {
+                super::Stamp::Conductance { g, p } => match &eff[ei] {
+                    None => BStamp::Cond {
+                        p,
+                        g: PVal::Shared(g),
+                    },
+                    Some(per) => {
                         uniform = false;
-                        let vals = (0..np)
-                            .map(|pi| match eff[ei][pi] {
+                        let vals = per
+                            .iter()
+                            .map(|e| match e {
                                 // Same `1.0 / ohms` op the plan build
                                 // applies, for bit-identity.
                                 Some(Element::Resistor { ohms, .. }) => 1.0 / ohms,
@@ -502,17 +511,17 @@ impl<'a> Batch<'a> {
                             g: PVal::Per(vals),
                         }
                     }
-                }
-                super::Stamp::Capacitor { farads, p } => {
-                    if eff[ei].iter().all(Option::is_none) {
-                        BStamp::Cap {
-                            p,
-                            farads: PVal::Shared(farads),
-                        }
-                    } else {
+                },
+                super::Stamp::Capacitor { farads, p } => match &eff[ei] {
+                    None => BStamp::Cap {
+                        p,
+                        farads: PVal::Shared(farads),
+                    },
+                    Some(per) => {
                         uniform = false;
-                        let vals = (0..np)
-                            .map(|pi| match eff[ei][pi] {
+                        let vals = per
+                            .iter()
+                            .map(|e| match e {
                                 Some(Element::Capacitor { farads, .. }) => *farads,
                                 None => farads,
                                 Some(_) => unreachable!("topology validated above"),
@@ -523,7 +532,7 @@ impl<'a> Batch<'a> {
                             farads: PVal::Per(vals),
                         }
                     }
-                }
+                },
                 super::Stamp::Mos {
                     ref device,
                     nmos,
@@ -534,19 +543,20 @@ impl<'a> Batch<'a> {
                     res1,
                     jac,
                 } => {
-                    let dev = if eff[ei].iter().all(Option::is_none) {
-                        PDev::Shared(*device)
-                    } else {
-                        uniform = false;
-                        PDev::Per(
-                            (0..np)
-                                .map(|pi| match eff[ei][pi] {
-                                    Some(Element::Mos { device, .. }) => *device,
-                                    None => *device,
-                                    Some(_) => unreachable!("topology validated above"),
-                                })
-                                .collect(),
-                        )
+                    let dev = match &eff[ei] {
+                        None => PDev::Shared(*device),
+                        Some(per) => {
+                            uniform = false;
+                            PDev::Per(
+                                per.iter()
+                                    .map(|e| match e {
+                                        Some(Element::Mos { device, .. }) => *device,
+                                        None => *device,
+                                        Some(_) => unreachable!("topology validated above"),
+                                    })
+                                    .collect(),
+                            )
+                        }
                     };
                     BStamp::Mos {
                         dev,
@@ -612,12 +622,9 @@ impl<'a> Batch<'a> {
             v: vec![0.0; nn * np],
             prev: vec![0.0; nn * np],
             res: vec![0.0; nu * np],
-            shared_ws: Workspace::new(nu),
-            point_ws: if shared_lu {
-                Vec::new()
-            } else {
-                (0..np).map(|_| Workspace::new(nu)).collect()
-            },
+            ws: (0..if shared_lu { 1 } else { np })
+                .map(|_| Workspace::new(nu))
+                .collect(),
             maxdv: vec![0.0; np],
             scale: vec![0.0; np],
             row: vec![0.0; np],
@@ -626,13 +633,7 @@ impl<'a> Batch<'a> {
             miss: vec![false; np],
             bank_of: vec![0; np],
             run: vec![false; np],
-            stale_start: vec![false; np],
-            iters: vec![0; np],
-            want: vec![false; np],
-            stale: vec![false; np],
-            last_dv: vec![f64::INFINITY; np],
-            stale_run: vec![0; np],
-            singular: vec![false; np],
+            track: vec![Track::default(); np],
             stats: SolverStats::default(),
             pstats: vec![SolverStats::default(); np],
         }
@@ -720,19 +721,15 @@ impl<'a> Batch<'a> {
 
     /// Drops every cached factorization (shared and per-point).
     fn invalidate_ws(&mut self) {
-        self.shared_ws.invalidate();
-        for ws in &mut self.point_ws {
+        for ws in &mut self.ws {
             ws.invalidate();
         }
     }
 
     /// Drops the factorizations point `p` solves with.
     fn invalidate_point(&mut self, p: usize) {
-        if self.shared_lu {
-            self.shared_ws.invalidate();
-        } else {
-            self.point_ws[p].invalidate();
-        }
+        let i = if self.shared_lu { 0 } else { p };
+        self.ws[i].invalidate();
     }
 
     /// Copies the previous-step column into the voltage column of every
@@ -1227,9 +1224,9 @@ impl Batch<'_> {
         for p in 0..np {
             if self.run[p] {
                 conv[p] = false;
-                self.singular[p] = false;
-                self.last_dv[p] = f64::INFINITY;
-                self.stale_run[p] = 0;
+                self.track[p].singular = false;
+                self.track[p].last_dv = f64::INFINITY;
+                self.track[p].stale_run = 0;
             }
         }
         for iter in 0..s.max_iter {
@@ -1242,12 +1239,12 @@ impl Batch<'_> {
                 if !self.run[p] {
                     continue;
                 }
-                self.want[p] = if !s.modified {
+                self.track[p].want = if !s.modified {
                     self.plan.linear
                 } else if iter == 0 {
-                    self.stale_start[p]
+                    self.track[p].stale_start
                 } else {
-                    self.last_dv[p] < JAC_STALE_DV && self.stale_run[p] < JAC_STALE_RUN
+                    self.track[p].last_dv < JAC_STALE_DV && self.track[p].stale_run < JAC_STALE_RUN
                 };
                 let ps = &mut self.pstats[p];
                 ps.newton_iterations += 1;
@@ -1266,20 +1263,20 @@ impl Batch<'_> {
                 if upd < s.tol {
                     self.run[p] = false;
                     conv[p] = true;
-                    self.iters[p] = iter + 1;
+                    self.track[p].iters = iter + 1;
                 } else if s.modified {
-                    if self.stale[p] {
-                        self.stale_run[p] += 1;
+                    if self.track[p].stale {
+                        self.track[p].stale_run += 1;
                         // Not contracting on the frozen Jacobian: force
                         // a fresh factorization next iteration.
-                        self.last_dv[p] = if upd >= self.last_dv[p] {
+                        self.track[p].last_dv = if upd >= self.track[p].last_dv {
                             f64::INFINITY
                         } else {
                             upd
                         };
                     } else {
-                        self.stale_run[p] = 0;
-                        self.last_dv[p] = upd;
+                        self.track[p].stale_run = 0;
+                        self.track[p].last_dv = upd;
                     }
                 }
             }
@@ -1299,15 +1296,15 @@ impl Batch<'_> {
     ) {
         let np = lanes.get();
         let nu = self.nu;
-        let want = (0..np).all(|p| !self.run[p] || self.want[p]);
+        let want = (0..np).all(|p| !self.run[p] || self.track[p].want);
         let hit = if want {
-            self.shared_ws.matching(dt_key, gmin_key)
+            self.ws[0].matching(dt_key, gmin_key)
         } else {
             None
         };
         let bank = match hit {
             Some(i) => {
-                self.shared_ws.mru = i;
+                self.ws[0].mru = i;
                 self.stats.factorization_reuses += n_run;
                 for p in 0..np {
                     if self.run[p] {
@@ -1317,16 +1314,16 @@ impl Batch<'_> {
                 i
             }
             None => {
-                let b = self.shared_ws.evict_target(dt_key, gmin_key);
+                let b = self.ws[0].evict_target(dt_key, gmin_key);
                 assemble_shared_jac(
                     &self.stamps,
                     &self.plan.gmin_rows,
                     s.dt,
                     s.gmin,
-                    &mut self.shared_ws.banks[b].a,
+                    &mut self.ws[0].banks[b].a,
                 );
                 self.stats.jacobian_builds += 1;
-                let bk = &mut self.shared_ws.banks[b];
+                let bk = &mut self.ws[0].banks[b];
                 if !factorize(&mut bk.a, &mut bk.piv, nu) {
                     bk.valid = false;
                     // The matrix is shared: every running point fails
@@ -1337,7 +1334,7 @@ impl Batch<'_> {
                     for p in 0..np {
                         if self.run[p] {
                             self.run[p] = false;
-                            self.singular[p] = true;
+                            self.track[p].singular = true;
                         }
                     }
                     return;
@@ -1349,12 +1346,12 @@ impl Batch<'_> {
                 bk.valid = true;
                 bk.dt = dt_key;
                 bk.gmin = gmin_key;
-                self.shared_ws.mru = b;
+                self.ws[0].mru = b;
                 b
             }
         };
         for p in 0..np {
-            self.stale[p] = hit.is_some();
+            self.track[p].stale = hit.is_some();
         }
         let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
         assemble_plane(
@@ -1373,7 +1370,7 @@ impl Batch<'_> {
         for x in self.res.iter_mut() {
             *x = -*x;
         }
-        let bk = &self.shared_ws.banks[bank];
+        let bk = &self.ws[0].banks[bank];
         plane_lu_solve(&bk.a, &bk.piv, nu, lanes, &mut self.res, &mut self.row);
         // Damped update: per-point max fold in slot order, then the
         // node-order application — the scalar sequence.
@@ -1437,13 +1434,13 @@ impl Batch<'_> {
             if !self.run[p] {
                 continue;
             }
-            let ws = &mut self.point_ws[p];
-            let hit = if self.want[p] {
+            let ws = &mut self.ws[p];
+            let hit = if self.track[p].want {
                 ws.matching(dt_key, gmin_key)
             } else {
                 None
             };
-            self.stale[p] = hit.is_some();
+            self.track[p].stale = hit.is_some();
             match hit {
                 Some(i) => {
                     ws.mru = i;
@@ -1470,7 +1467,7 @@ impl Batch<'_> {
             &self.run,
             &mut self.res,
             Some(&mut JacTargets {
-                ws: &mut self.point_ws,
+                ws: &mut self.ws,
                 miss: &self.miss,
                 bank_of: &self.bank_of,
             }),
@@ -1482,13 +1479,13 @@ impl Batch<'_> {
                 continue;
             }
             let b = self.bank_of[p];
-            let ws = &mut self.point_ws[p];
+            let ws = &mut self.ws[p];
             if self.miss[p] {
                 let bk = &mut ws.banks[b];
                 if !factorize(&mut bk.a, &mut bk.piv, nu) {
                     bk.valid = false;
                     self.run[p] = false;
-                    self.singular[p] = true;
+                    self.track[p].singular = true;
                     continue;
                 }
                 self.stats.factorizations += 1;
@@ -1524,7 +1521,7 @@ impl Batch<'_> {
     /// residual there; the extra device-evaluation pass is diagnostics,
     /// not solver work, so it is left out of [`SolverStats`].
     fn failure(&mut self, p: usize, s: &Solve) -> SolverError {
-        if self.singular[p] {
+        if self.track[p].singular {
             return SolverError::SingularMatrix { time: s.time };
         }
         let np = self.np;
@@ -1583,7 +1580,7 @@ impl Batch<'_> {
         let np = self.np;
         solved.fill(false);
         for p in 0..np {
-            errs[p] = eligible[p].then(|| SolverError::NonConvergence {
+            errs[p] = eligible[p].then_some(SolverError::NonConvergence {
                 time: t,
                 iterations: 0,
                 worst_node: None,
@@ -1812,7 +1809,7 @@ impl Batch<'_> {
     /// converge: a multi-point batch retires them; a one-point batch
     /// runs the recovery ladder and ends the point with the step's
     /// error only if every rung fails. Returns the points that
-    /// recovered.
+    /// recovered (no allocation when every point converged).
     fn rescue(
         &mut self,
         lockstep: &mut [bool],
@@ -1820,13 +1817,12 @@ impl Batch<'_> {
         s: &Solve,
         config: &TransientConfig,
         failed: &mut [Option<SolverError>],
-    ) -> Vec<bool> {
+    ) -> Vec<usize> {
         let np = self.np;
-        let mask: Vec<bool> = (0..np).map(|p| lockstep[p] && !conv[p]).collect();
-        let mut ok = vec![false; np];
-        if !mask.iter().any(|&m| m) {
-            return ok;
+        if (0..np).all(|p| !lockstep[p] || conv[p]) {
+            return Vec::new();
         }
+        let mask: Vec<bool> = (0..np).map(|p| lockstep[p] && !conv[p]).collect();
         if self.retire {
             for p in 0..np {
                 if mask[p] {
@@ -1834,19 +1830,20 @@ impl Batch<'_> {
                     self.stats.batch_retirements += 1;
                 }
             }
-            return ok;
+            return Vec::new();
         }
         let errs: Vec<Option<SolverError>> = (0..np)
             .map(|p| mask[p].then(|| self.failure(p, s)))
             .collect();
         let dt = s.dt.expect("transient step");
+        let mut ok = vec![false; np];
         self.recover(&mask, dt, s.time, config, &mut ok);
         for (p, err) in errs.into_iter().enumerate() {
             if let Some(err) = err.filter(|_| !ok[p]) {
                 self.end_point(p, lockstep, failed, err);
             }
         }
-        ok
+        (0..np).filter(|&p| ok[p]).collect()
     }
 
     /// Runs the DC operating point at `t = 0` for the `lockstep`
@@ -2020,7 +2017,9 @@ impl Batch<'_> {
         // `stale_start` doubles as each point's fast streak: did its
         // last solve converge at once, so the next may open on the
         // cached LU?
-        self.stale_start.fill(false);
+        for t in &mut self.track {
+            t.stale_start = false;
+        }
         // The LTE bound, not the Newton tolerance, limits accuracy in
         // this mode — solving each step far below the accepted
         // truncation error only burns device evaluations. The big probe
@@ -2066,18 +2065,17 @@ impl Batch<'_> {
                 self.apply_sources_cols(t + h_eff, lockstep);
                 let s = Solve::step(h_eff, config, ntol, t + h_eff, true);
                 self.newton(lockstep, &s, &mut conv);
-                let recovered = self.rescue(lockstep, &conv, &s, config, failed);
+                for p in self.rescue(lockstep, &conv, &s, config, failed) {
+                    // Resume with a cold LU cache.
+                    self.invalidate_point(p);
+                    self.track[p].iters = SLOW_STEP_ITERS;
+                }
                 for p in 0..np {
                     if !lockstep[p] {
                         continue;
                     }
-                    if recovered[p] {
-                        // Resume with a cold LU cache.
-                        self.invalidate_point(p);
-                        self.iters[p] = SLOW_STEP_ITERS;
-                    }
-                    self.stale_start[p] = self.iters[p] <= 1;
-                    if self.iters[p] > SLOW_STEP_ITERS {
+                    self.track[p].stale_start = self.track[p].iters <= 1;
+                    if self.track[p].iters > SLOW_STEP_ITERS {
                         self.invalidate_point(p);
                     }
                     self.stats.steps_taken += 1;
@@ -2132,8 +2130,8 @@ impl Batch<'_> {
                     continue;
                 }
                 for p in 0..np {
-                    worst[p] = self.iters[p];
-                    self.stale_start[p] = self.iters[p] <= 1;
+                    worst[p] = self.track[p].iters;
+                    self.track[p].stale_start = self.track[p].iters <= 1;
                 }
                 let mut lte = 0.0f64;
                 for p in 0..np {
@@ -2166,8 +2164,8 @@ impl Batch<'_> {
                     continue;
                 }
                 for p in 0..np {
-                    worst[p] = self.iters[p];
-                    self.stale_start[p] = self.iters[p] <= 1;
+                    worst[p] = self.track[p].iters;
+                    self.track[p].stale_start = self.track[p].iters <= 1;
                 }
                 v_big.copy_from_slice(&self.v);
                 for i in 0..nn * np {
@@ -2184,8 +2182,8 @@ impl Batch<'_> {
                     continue;
                 }
                 for p in 0..np {
-                    worst[p] = worst[p].max(self.iters[p]);
-                    self.stale_start[p] = self.iters[p] <= 1;
+                    worst[p] = worst[p].max(self.track[p].iters);
+                    self.track[p].stale_start = self.track[p].iters <= 1;
                 }
                 v_half.copy_from_slice(&self.v);
                 self.v.copy_from_slice(&v_big);
@@ -2201,8 +2199,8 @@ impl Batch<'_> {
                     continue;
                 }
                 for p in 0..np {
-                    worst[p] = worst[p].max(self.iters[p]);
-                    self.stale_start[p] = worst[p] <= 1;
+                    worst[p] = worst[p].max(self.track[p].iters);
+                    self.track[p].stale_start = worst[p] <= 1;
                 }
                 let mut lte = 0.0f64;
                 for p in 0..np {
@@ -2227,8 +2225,10 @@ impl Batch<'_> {
                     self.stats.steps_taken += steps;
                     self.pstats[p].steps_taken += steps;
                 }
-                if steps == 2 {
-                    let half = 0.5 * h_eff;
+                // A doubling probe accepted two half steps: emit the
+                // first, then the span from its end.
+                let (t_mid, v_mid) = if steps == 2 {
+                    let t_half = t + 0.5 * h_eff;
                     emit_plane(
                         &mut bufs,
                         &mut next_out,
@@ -2236,37 +2236,27 @@ impl Batch<'_> {
                         out_dt,
                         t,
                         &v_cur,
-                        t + half,
+                        t_half,
                         &v_half,
                         lockstep,
                         np,
                     );
-                    emit_plane(
-                        &mut bufs,
-                        &mut next_out,
-                        n_out,
-                        out_dt,
-                        t + half,
-                        &v_half,
-                        t + h_eff,
-                        &self.v,
-                        lockstep,
-                        np,
-                    );
+                    (t_half, &v_half)
                 } else {
-                    emit_plane(
-                        &mut bufs,
-                        &mut next_out,
-                        n_out,
-                        out_dt,
-                        t,
-                        &v_cur,
-                        t + h_eff,
-                        &self.v,
-                        lockstep,
-                        np,
-                    );
-                }
+                    (t, &v_cur)
+                };
+                emit_plane(
+                    &mut bufs,
+                    &mut next_out,
+                    n_out,
+                    out_dt,
+                    t_mid,
+                    v_mid,
+                    t + h_eff,
+                    &self.v,
+                    lockstep,
+                    np,
+                );
                 v_prevstep.copy_from_slice(&v_cur);
                 h_prev = h_eff;
                 t += h_eff;
@@ -2317,7 +2307,9 @@ impl Batch<'_> {
     fn reject_newton(&mut self, v_cur: &[f64], h: &mut f64, h_eff: f64, dt_min: f64) {
         self.v.copy_from_slice(v_cur);
         self.invalidate_ws();
-        self.stale_start.fill(false);
+        for t in &mut self.track {
+            t.stale_start = false;
+        }
         self.stats.steps_rejected += 1;
         *h = (0.5 * h_eff).max(dt_min);
     }
