@@ -372,18 +372,21 @@ struct Track {
 /// multi-point batch (the caller re-solves it alone).
 type Outcome = Option<Result<Vec<Waveform>, SolverError>>;
 
-/// The engine's working state: SoA planes over `[n_nodes × n_points]`
+/// The engine's working state for `L` points: SoA planes over
+/// `[n_nodes × n_points]`
 /// (point-fastest), the widened stamp list, either one shared
 /// [`Workspace`] (uniform linear batches) or one per point, and the
 /// per-point Newton state.
-struct Batch<'a> {
+struct Batch<'a, L: Lanes> {
     plan: &'a StampPlan,
     circuit: &'a Circuit,
     stamps: Vec<BStamp>,
     /// `(raw node index, stimulus plane)` per voltage source, in
     /// circuit order.
     srcs: Vec<(usize, PStim)>,
-    np: usize,
+    /// The point count: [`OneLane`] for a one-point batch, so every
+    /// per-point loop and plane index folds at compile time.
+    lanes: L,
     nn: usize,
     nu: usize,
     /// No element overrides *and* the plan is linear: every point's
@@ -429,7 +432,7 @@ struct Batch<'a> {
     pstats: Vec<SolverStats>,
 }
 
-impl<'a> Batch<'a> {
+impl<'a, L: Lanes> Batch<'a, L> {
     /// Widens `plan` across `points`, validating that every override
     /// preserves the topology.
     ///
@@ -443,8 +446,10 @@ impl<'a> Batch<'a> {
         circuit: &'a Circuit,
         points: &[PointOverride],
         batched: bool,
+        lanes: L,
     ) -> Self {
         let np = points.len();
+        assert_eq!(lanes.get(), np, "one lane per point");
         let nn = plan.n_nodes;
         let nu = plan.n_unknown;
         let base_elements = circuit.elements();
@@ -613,7 +618,7 @@ impl<'a> Batch<'a> {
             circuit,
             stamps,
             srcs,
-            np,
+            lanes,
             nn,
             nu,
             shared_lu,
@@ -639,12 +644,6 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// A one-point batch of `circuit` itself: the engine behind every
-    /// non-batched entry point.
-    fn single(plan: &'a StampPlan, circuit: &'a Circuit) -> Self {
-        Self::new(plan, circuit, &[PointOverride::new()], false)
-    }
-
     /// Fills source rows of the `mask`ed columns for time `t`.
     fn apply_sources_cols(&mut self, t: f64, mask: &[bool]) {
         self.fill_sources(mask, |s| s.value_at(t));
@@ -665,8 +664,8 @@ impl<'a> Batch<'a> {
     /// Grounds row 0 and writes `value(stimulus)` into every source row
     /// of the `mask`ed columns.
     fn fill_sources(&mut self, mask: &[bool], value: impl Fn(&Stimulus) -> f64) {
-        let Self { v, srcs, np, .. } = self;
-        let np = *np;
+        let np = self.lanes.get();
+        let Self { v, srcs, .. } = self;
         for p in 0..np {
             if mask[p] {
                 v[p] = 0.0;
@@ -708,7 +707,7 @@ impl<'a> Batch<'a> {
     fn source_jump_any(&self, t0: f64, t1: f64, mask: &[bool]) -> f64 {
         let mut worst = 0.0f64;
         for (_, s) in &self.srcs {
-            for p in 0..self.np {
+            for p in 0..self.lanes.get() {
                 if !mask[p] {
                     continue;
                 }
@@ -735,7 +734,7 @@ impl<'a> Batch<'a> {
     /// Copies the previous-step column into the voltage column of every
     /// `mask`ed point: each recovery rung restarts from there.
     fn restart_from_prev(&mut self, mask: &[bool]) {
-        let np = self.np;
+        let np = self.lanes.get();
         for node in 0..self.nn {
             for p in 0..np {
                 if mask[p] {
@@ -748,7 +747,7 @@ impl<'a> Batch<'a> {
     /// Column `p` of the voltage plane.
     fn column(&self, p: usize) -> Vec<f64> {
         (0..self.nn)
-            .map(|node| self.v[node * self.np + p])
+            .map(|node| self.v[node * self.lanes.get() + p])
             .collect()
     }
 
@@ -771,10 +770,10 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// The point count of a plane kernel. Kernels are generic over it so a
-/// one-point batch compiles with a constant count of one — its per-point
-/// loops and `node * np + p` index arithmetic fold away — while
-/// multi-point batches pass the run-time count (`usize`).
+/// The point count of a batch. The engine is generic over it so a
+/// one-point batch compiles with a constant count of one — its
+/// per-point loops and `node * np + p` index arithmetic fold away —
+/// while multi-point batches carry the run-time count (`usize`).
 trait Lanes: Copy {
     fn get(self) -> usize;
 }
@@ -798,18 +797,35 @@ impl Lanes for usize {
 }
 
 /// The per-point Jacobian banks a plane assembly fills: point `k`
-/// writes `ws[k].banks[bank_of[k]]` when `miss[k]`.
+/// writes `ws[k].banks[bank_of[k]]` when `miss[k]`. Point 0's matrix is
+/// resolved once up front — it is the only one of a one-point batch,
+/// whose assembly then reaches it without any per-stamp lookup.
 struct JacTargets<'w> {
-    ws: &'w mut [Workspace],
+    first: Option<&'w mut [f64]>,
+    /// `ws[1..]`.
+    rest: &'w mut [Workspace],
     miss: &'w [bool],
     bank_of: &'w [usize],
 }
 
-impl JacTargets<'_> {
+impl<'w> JacTargets<'w> {
+    fn new(ws: &'w mut [Workspace], miss: &'w [bool], bank_of: &'w [usize]) -> Self {
+        let (head, rest) = ws.split_first_mut().expect("a batch has a point");
+        let first = miss[0].then(|| &mut head.banks[bank_of[0]].a[..]);
+        Self {
+            first,
+            rest,
+            miss,
+            bank_of,
+        }
+    }
+
     #[inline]
     fn at(&mut self, k: usize) -> Option<&mut [f64]> {
-        if self.miss[k] {
-            Some(&mut self.ws[k].banks[self.bank_of[k]].a)
+        if k == 0 {
+            self.first.as_deref_mut()
+        } else if self.miss[k] {
+            Some(&mut self.rest[k - 1].banks[self.bank_of[k]].a)
         } else {
             None
         }
@@ -1112,7 +1128,8 @@ fn plane_lu_solve<L: Lanes>(
 }
 
 /// Pushes one plane sample per `mask`ed point into its per-node buffers.
-fn push_plane(bufs: &mut [Vec<Vec<f64>>], v: &[f64], mask: &[bool], np: usize) {
+fn push_plane<L: Lanes>(bufs: &mut [Vec<Vec<f64>>], v: &[f64], mask: &[bool], lanes: L) {
+    let np = lanes.get();
     for (p, pb) in bufs.iter_mut().enumerate() {
         if !mask[p] {
             continue;
@@ -1127,7 +1144,7 @@ fn push_plane(bufs: &mut [Vec<Vec<f64>>], v: &[f64], mask: &[bool], np: usize) {
 /// resamples the accepted span `t0..t1` (planes `va` → `vb`) onto the
 /// shared `out_dt` grid for every `mask`ed point.
 #[allow(clippy::too_many_arguments)]
-fn emit_plane(
+fn emit_plane<L: Lanes>(
     bufs: &mut [Vec<Vec<f64>>],
     next_out: &mut usize,
     n_out: usize,
@@ -1137,8 +1154,9 @@ fn emit_plane(
     t1: f64,
     vb: &[f64],
     mask: &[bool],
-    np: usize,
+    lanes: L,
 ) {
+    let np = lanes.get();
     while *next_out <= n_out {
         let tg = *next_out as f64 * out_dt;
         if tg > t1 + 1e-9 * out_dt {
@@ -1163,7 +1181,7 @@ fn emit_plane(
     }
 }
 
-impl Batch<'_> {
+impl<L: Lanes> Batch<'_, L> {
     /// Lockstep damped Newton over the `run_init` points: all active
     /// points iterate together; each point drops out of the running
     /// mask the moment its own damped update passes the tolerance
@@ -1202,22 +1220,7 @@ impl Batch<'_> {
     /// shared-LU path factorizes the Jacobian every point would have
     /// produced bit-identically).
     fn newton(&mut self, run_init: &[bool], s: &Solve, conv: &mut [bool]) {
-        if self.np == 1 {
-            self.newton_lanes(OneLane, run_init, s, conv);
-        } else {
-            self.newton_lanes(self.np, run_init, s, conv);
-        }
-    }
-
-    /// [`Batch::newton`] over `lanes` points.
-    fn newton_lanes<L: Lanes>(
-        &mut self,
-        lanes: L,
-        run_init: &[bool],
-        s: &Solve,
-        conv: &mut [bool],
-    ) {
-        let np = lanes.get();
+        let np = self.lanes.get();
         let dt_key = s.dt.unwrap_or(0.0).to_bits();
         let gmin_key = s.gmin.to_bits();
         self.run[..np].copy_from_slice(&run_init[..np]);
@@ -1251,9 +1254,9 @@ impl Batch<'_> {
                 ps.residual_builds += 1;
             }
             if self.shared_lu {
-                self.newton_shared_lu(lanes, s, dt_key, gmin_key, n_run);
+                self.newton_shared_lu(s, dt_key, gmin_key, n_run);
             } else {
-                self.newton_point_lu(lanes, s, dt_key, gmin_key, n_run);
+                self.newton_point_lu(s, dt_key, gmin_key, n_run);
             }
             for p in 0..np {
                 if !self.run[p] {
@@ -1286,14 +1289,8 @@ impl Batch<'_> {
     /// One Newton iteration of a uniform linear batch: one LU (cached or
     /// fresh) for every running point, one plane solve. The batch rides
     /// the cached LU only when every running point wants to.
-    fn newton_shared_lu<L: Lanes>(
-        &mut self,
-        lanes: L,
-        s: &Solve,
-        dt_key: u64,
-        gmin_key: u64,
-        n_run: u64,
-    ) {
+    fn newton_shared_lu(&mut self, s: &Solve, dt_key: u64, gmin_key: u64, n_run: u64) {
+        let lanes = self.lanes;
         let np = lanes.get();
         let nu = self.nu;
         let want = (0..np).all(|p| !self.run[p] || self.track[p].want);
@@ -1419,14 +1416,8 @@ impl Batch<'_> {
     /// own two-bank cache decision, one plane-wide assembly pass that
     /// fills every miss point's bank, then per-point factorization,
     /// solve and damped update.
-    fn newton_point_lu<L: Lanes>(
-        &mut self,
-        lanes: L,
-        s: &Solve,
-        dt_key: u64,
-        gmin_key: u64,
-        n_run: u64,
-    ) {
+    fn newton_point_lu(&mut self, s: &Solve, dt_key: u64, gmin_key: u64, n_run: u64) {
+        let lanes = self.lanes;
         let np = lanes.get();
         let nu = self.nu;
         for p in 0..np {
@@ -1466,11 +1457,11 @@ impl Batch<'_> {
             s.gmin,
             &self.run,
             &mut self.res,
-            Some(&mut JacTargets {
-                ws: &mut self.ws,
-                miss: &self.miss,
-                bank_of: &self.bank_of,
-            }),
+            Some(&mut JacTargets::new(
+                &mut self.ws,
+                &self.miss,
+                &self.bank_of,
+            )),
             &mut self.cur,
         );
         self.stats.residual_builds += n_run;
@@ -1524,14 +1515,14 @@ impl Batch<'_> {
         if self.track[p].singular {
             return SolverError::SingularMatrix { time: s.time };
         }
-        let np = self.np;
+        let np = self.lanes.get();
         self.run.fill(false);
         self.run[p] = true;
         let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
         assemble_plane(
             &self.stamps,
             &self.plan.gmin_rows,
-            np,
+            self.lanes,
             &self.v,
             prev_plane,
             s.gmin,
@@ -1577,7 +1568,7 @@ impl Batch<'_> {
         solved: &mut [bool],
         errs: &mut [Option<SolverError>],
     ) {
-        let np = self.np;
+        let np = self.lanes.get();
         solved.fill(false);
         for p in 0..np {
             errs[p] = eligible[p].then_some(SolverError::NonConvergence {
@@ -1729,7 +1720,7 @@ impl Batch<'_> {
         config: &TransientConfig,
         ok: &mut [bool],
     ) {
-        let np = self.np;
+        let np = self.lanes.get();
         let iters = config.max_newton.max(200);
         let solve = |dt: f64, gmin: f64, time: f64| Solve {
             dt: Some(dt),
@@ -1818,7 +1809,7 @@ impl Batch<'_> {
         config: &TransientConfig,
         failed: &mut [Option<SolverError>],
     ) -> Vec<usize> {
-        let np = self.np;
+        let np = self.lanes.get();
         if (0..np).all(|p| !lockstep[p] || conv[p]) {
             return Vec::new();
         }
@@ -1849,7 +1840,7 @@ impl Batch<'_> {
     /// Runs the DC operating point at `t = 0` for the `lockstep`
     /// points and takes the failures out.
     fn initial_dc(&mut self, lockstep: &mut [bool], failed: &mut [Option<SolverError>]) {
-        let np = self.np;
+        let np = self.lanes.get();
         let mut solved = vec![false; np];
         let mut errs = vec![None; np];
         let eligible = lockstep.to_vec();
@@ -1864,8 +1855,8 @@ impl Batch<'_> {
 
     /// Transient of every `lockstep` point under `config`.
     fn transient(&mut self, config: &TransientConfig) -> Vec<Outcome> {
-        let mut lockstep = vec![true; self.np];
-        let mut failed = vec![None; self.np];
+        let mut lockstep = vec![true; self.lanes.get()];
+        let mut failed = vec![None; self.lanes.get()];
         self.initial_dc(&mut lockstep, &mut failed);
         let waves = match config.step {
             StepMode::Fixed(dt) => self.run_fixed(dt, config, &mut lockstep, &mut failed),
@@ -1896,7 +1887,7 @@ impl Batch<'_> {
         lockstep: &mut [bool],
         failed: &mut [Option<SolverError>],
     ) -> Vec<Option<Vec<Waveform>>> {
-        let np = self.np;
+        let np = self.lanes.get();
         let nn = self.nn;
         let steps = (config.t_end / dt).ceil() as usize;
         let rows = steps + 1;
@@ -1980,7 +1971,7 @@ impl Batch<'_> {
         assert!(dt_min > 0.0, "dt_min must be positive");
         assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
         assert!(lte_tol > 0.0, "lte_tol must be positive");
-        let np = self.np;
+        let np = self.lanes.get();
         let nn = self.nn;
         let out_dt = dt_min;
         let n_out = (config.t_end / out_dt).ceil() as usize;
@@ -1995,7 +1986,7 @@ impl Batch<'_> {
                 }
             })
             .collect();
-        push_plane(&mut bufs, &self.v, lockstep, np);
+        push_plane(&mut bufs, &self.v, lockstep, self.lanes);
         // Next output-grid index to fill; accepted spans lerp onto it.
         let mut next_out = 1usize;
         let mut t = 0.0f64;
@@ -2096,7 +2087,7 @@ impl Batch<'_> {
                     t + h_eff,
                     &self.v,
                     lockstep,
-                    np,
+                    self.lanes,
                 );
                 v_prevstep.copy_from_slice(&v_cur);
                 h_prev = h_eff;
@@ -2239,7 +2230,7 @@ impl Batch<'_> {
                         t_half,
                         &v_half,
                         lockstep,
-                        np,
+                        self.lanes,
                     );
                     (t_half, &v_half)
                 } else {
@@ -2255,7 +2246,7 @@ impl Batch<'_> {
                     t + h_eff,
                     &self.v,
                     lockstep,
-                    np,
+                    self.lanes,
                 );
                 v_prevstep.copy_from_slice(&v_cur);
                 h_prev = h_eff;
@@ -2375,7 +2366,7 @@ pub(super) fn transient_one(
     circuit: &Circuit,
     config: &TransientConfig,
 ) -> (Result<Vec<Waveform>, SolverError>, SolverStats) {
-    let mut batch = Batch::single(plan, circuit);
+    let mut batch = Batch::new(plan, circuit, &[PointOverride::new()], false, OneLane);
     let out = batch
         .transient(config)
         .pop()
@@ -2391,7 +2382,7 @@ pub(super) fn dc_one(
     t: f64,
     seed: DcSeed<'_>,
 ) -> (Result<Vec<f64>, SolverError>, SolverStats) {
-    let mut batch = Batch::single(plan, circuit);
+    let mut batch = Batch::new(plan, circuit, &[PointOverride::new()], false, OneLane);
     let out = batch.dc_one(t, seed).map(|()| batch.column(0));
     (out, batch.stats)
 }
@@ -2404,7 +2395,7 @@ pub(super) fn dc_sweep_one(
     source_index: usize,
     values: &[f64],
 ) -> (Result<Vec<Vec<f64>>, SolverError>, SolverStats) {
-    let mut batch = Batch::single(plan, circuit);
+    let mut batch = Batch::new(plan, circuit, &[PointOverride::new()], false, OneLane);
     let out = batch.dc_sweep(source_index, values);
     (out, batch.stats)
 }
@@ -2438,7 +2429,7 @@ impl Solver<'_> {
         let started = Instant::now();
         self.stats.batched_points += np as u64;
         let (partial, pstats) = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points, true);
+            let mut batch = Batch::new(&self.plan, self.circuit, points, true, np);
             let out = batch.transient(config);
             self.stats.merge(&batch.stats);
             (out, batch.pstats)
@@ -2487,7 +2478,7 @@ impl Solver<'_> {
         let started = Instant::now();
         self.stats.batched_points += np as u64;
         let cols: Vec<Option<Result<Vec<f64>, SolverError>>> = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points, true);
+            let mut batch = Batch::new(&self.plan, self.circuit, points, true, np);
             let mut solved = vec![false; np];
             let mut errs = vec![None; np];
             batch.dc(0.0, &vec![true; np], DcSeed::Robust, &mut solved, &mut errs);
@@ -2565,7 +2556,7 @@ mod tests {
         c.vsource(vin, Stimulus::Dc(0.0));
         add_inverter(&mut c, &pvt, InverterSize::unit(), vin, vout, vdd);
         let plan = StampPlan::new(&c);
-        let mut batch = Batch::single(&plan, &c);
+        let mut batch = Batch::new(&plan, &c, &[PointOverride::new()], false, OneLane);
         // One damped iteration from an all-zero guess cannot pull the
         // output to VDD, so this must fail — with diagnostics.
         let one = [true];
