@@ -14,7 +14,7 @@
 //!   node-voltage vector.
 //! * **One shared `StampPlan`.** The topology is compiled once;
 //!   per-point differences are value-only [`PointOverride`]s zipped
-//!   into the stamp list (`PVal::Shared` vs `PVal::Per`).
+//!   into the stamp list (`PerPoint::Shared` vs `PerPoint::Per`).
 //! * **Newton with convergence masks.** All active points iterate in
 //!   lockstep; a point that converges drops out of the mask and its
 //!   state plane column freezes, so stragglers never perturb finished
@@ -217,53 +217,34 @@ fn same_topology(base: &Element, v: &Element) -> bool {
     }
 }
 
-/// A per-stamp scalar that is either shared by the whole batch or
-/// overridden per point.
+/// A per-stamp value — conductance, capacitance, MOS device, source
+/// stimulus — shared by the whole batch or overridden per point.
 #[derive(Debug, Clone)]
-enum PVal {
-    Shared(f64),
-    Per(Vec<f64>),
+enum PerPoint<T> {
+    Shared(T),
+    Per(Vec<T>),
 }
 
-impl PVal {
+impl<T: Clone> PerPoint<T> {
     #[inline]
-    fn at(&self, p: usize) -> f64 {
+    fn at(&self, p: usize) -> &T {
         match self {
-            PVal::Shared(x) => *x,
-            PVal::Per(v) => v[p],
+            PerPoint::Shared(x) => x,
+            PerPoint::Per(v) => &v[p],
         }
     }
-}
 
-/// A MOS device shared or overridden per point.
-#[derive(Debug, Clone)]
-enum PDev {
-    Shared(MosDevice),
-    Per(Vec<MosDevice>),
-}
-
-impl PDev {
-    #[inline]
-    fn at(&self, p: usize) -> &MosDevice {
-        match self {
-            PDev::Shared(d) => d,
-            PDev::Per(v) => &v[p],
-        }
-    }
-}
-
-/// A source stimulus shared or overridden per point.
-#[derive(Debug, Clone)]
-enum PStim {
-    Shared(Stimulus),
-    Per(Vec<Stimulus>),
-}
-
-impl PStim {
-    fn at(&self, p: usize) -> &Stimulus {
-        match self {
-            PStim::Shared(s) => s,
-            PStim::Per(v) => &v[p],
+    /// `base` for every point, or — when the element has overrides
+    /// (`per`) — each point's override `value`, `base` where it has
+    /// none.
+    fn widen(base: T, per: Option<&Vec<Option<&Element>>>, value: impl Fn(&Element) -> T) -> Self {
+        match per {
+            None => PerPoint::Shared(base),
+            Some(per) => PerPoint::Per(
+                per.iter()
+                    .map(|e| e.map_or_else(|| base.clone(), &value))
+                    .collect(),
+            ),
         }
     }
 }
@@ -275,14 +256,14 @@ impl PStim {
 enum BStamp {
     Cond {
         p: PairSlots,
-        g: PVal,
+        g: PerPoint<f64>,
     },
     Cap {
         p: PairSlots,
-        farads: PVal,
+        farads: PerPoint<f64>,
     },
     Mos {
-        dev: PDev,
+        dev: PerPoint<MosDevice>,
         nmos: bool,
         d: usize,
         g: usize,
@@ -383,7 +364,7 @@ struct Batch<'a, L: Lanes> {
     stamps: Vec<BStamp>,
     /// `(raw node index, stimulus plane)` per voltage source, in
     /// circuit order.
-    srcs: Vec<(usize, PStim)>,
+    srcs: Vec<(usize, PerPoint<Stimulus>)>,
     /// The point count: [`OneLane`] for a one-point batch, so every
     /// per-point loop and plane index folds at compile time.
     lanes: L,
@@ -488,83 +469,32 @@ impl<'a, L: Lanes> Batch<'a, L> {
             }
         }
 
-        let mut uniform = true;
+        let uniform = eff.iter().all(Option::is_none);
         let stamps: Vec<BStamp> = plan
             .stamps
             .iter()
-            .enumerate()
-            .map(|(ei, stamp)| match *stamp {
-                super::Stamp::Conductance { g, p } => match &eff[ei] {
-                    None => BStamp::Cond {
+            .zip(&eff)
+            .map(|(stamp, per)| {
+                let per = per.as_ref();
+                match *stamp {
+                    super::Stamp::Conductance { g, p } => BStamp::Cond {
                         p,
-                        g: PVal::Shared(g),
+                        g: PerPoint::widen(g, per, |e| match e {
+                            // Same `1.0 / ohms` op the plan build
+                            // applies, for bit-identity.
+                            Element::Resistor { ohms, .. } => 1.0 / ohms,
+                            _ => unreachable!("topology validated above"),
+                        }),
                     },
-                    Some(per) => {
-                        uniform = false;
-                        let vals = per
-                            .iter()
-                            .map(|e| match e {
-                                // Same `1.0 / ohms` op the plan build
-                                // applies, for bit-identity.
-                                Some(Element::Resistor { ohms, .. }) => 1.0 / ohms,
-                                None => g,
-                                Some(_) => unreachable!("topology validated above"),
-                            })
-                            .collect();
-                        BStamp::Cond {
-                            p,
-                            g: PVal::Per(vals),
-                        }
-                    }
-                },
-                super::Stamp::Capacitor { farads, p } => match &eff[ei] {
-                    None => BStamp::Cap {
+                    super::Stamp::Capacitor { farads, p } => BStamp::Cap {
                         p,
-                        farads: PVal::Shared(farads),
+                        farads: PerPoint::widen(farads, per, |e| match e {
+                            Element::Capacitor { farads, .. } => *farads,
+                            _ => unreachable!("topology validated above"),
+                        }),
                     },
-                    Some(per) => {
-                        uniform = false;
-                        let vals = per
-                            .iter()
-                            .map(|e| match e {
-                                Some(Element::Capacitor { farads, .. }) => *farads,
-                                None => farads,
-                                Some(_) => unreachable!("topology validated above"),
-                            })
-                            .collect();
-                        BStamp::Cap {
-                            p,
-                            farads: PVal::Per(vals),
-                        }
-                    }
-                },
-                super::Stamp::Mos {
-                    ref device,
-                    nmos,
-                    d,
-                    g,
-                    s,
-                    res0,
-                    res1,
-                    jac,
-                } => {
-                    let dev = match &eff[ei] {
-                        None => PDev::Shared(*device),
-                        Some(per) => {
-                            uniform = false;
-                            PDev::Per(
-                                per.iter()
-                                    .map(|e| match e {
-                                        Some(Element::Mos { device, .. }) => *device,
-                                        None => *device,
-                                        Some(_) => unreachable!("topology validated above"),
-                                    })
-                                    .collect(),
-                            )
-                        }
-                    };
-                    BStamp::Mos {
-                        dev,
+                    super::Stamp::Mos {
+                        ref device,
                         nmos,
                         d,
                         g,
@@ -572,7 +502,19 @@ impl<'a, L: Lanes> Batch<'a, L> {
                         res0,
                         res1,
                         jac,
-                    }
+                    } => BStamp::Mos {
+                        dev: PerPoint::widen(*device, per, |e| match e {
+                            Element::Mos { device, .. } => *device,
+                            _ => unreachable!("topology validated above"),
+                        }),
+                        nmos,
+                        d,
+                        g,
+                        s,
+                        res0,
+                        res1,
+                        jac,
+                    },
                 }
             })
             .collect();
@@ -583,7 +525,7 @@ impl<'a, L: Lanes> Batch<'a, L> {
                 assert!(*i < n_sources, "override source index {i} out of range");
             }
         }
-        let srcs: Vec<(usize, PStim)> = circuit
+        let srcs: Vec<(usize, PerPoint<Stimulus>)> = circuit
             .sources()
             .iter()
             .enumerate()
@@ -592,7 +534,7 @@ impl<'a, L: Lanes> Batch<'a, L> {
                     .iter()
                     .any(|ov| ov.sources.iter().any(|(i, _)| *i == si));
                 let plane = if any {
-                    PStim::Per(
+                    PerPoint::Per(
                         points
                             .iter()
                             .map(|ov| {
@@ -606,7 +548,7 @@ impl<'a, L: Lanes> Batch<'a, L> {
                             .collect(),
                     )
                 } else {
-                    PStim::Shared(stim.clone())
+                    PerPoint::Shared(stim.clone())
                 };
                 (node.index(), plane)
             })
@@ -674,7 +616,7 @@ impl<'a, L: Lanes> Batch<'a, L> {
         for (node, stim) in srcs.iter() {
             let row = &mut v[node * np..node * np + np];
             match stim {
-                PStim::Shared(s) => {
+                PerPoint::Shared(s) => {
                     let x = value(s);
                     for (p, slot) in row.iter_mut().enumerate() {
                         if mask[p] {
@@ -682,7 +624,7 @@ impl<'a, L: Lanes> Batch<'a, L> {
                         }
                     }
                 }
-                PStim::Per(per) => {
+                PerPoint::Per(per) => {
                     for (p, slot) in row.iter_mut().enumerate() {
                         if mask[p] {
                             *slot = value(&per[p]);
@@ -883,7 +825,7 @@ fn assemble_plane<L: Lanes>(
                 if let Some(jt) = jacs.as_deref_mut() {
                     for k in 0..np {
                         if let Some(j) = jt.at(k) {
-                            add4(j, p, g.at(k));
+                            add4(j, p, *g.at(k));
                         }
                     }
                 }
@@ -894,7 +836,7 @@ fn assemble_plane<L: Lanes>(
                     if let Some(jt) = jacs.as_deref_mut() {
                         for k in 0..np {
                             if let Some(j) = jt.at(k) {
-                                add4(j, p, farads.at(k) / dt);
+                                add4(j, p, *farads.at(k) / dt);
                             }
                         }
                     }
@@ -974,7 +916,7 @@ fn pair_plane<L: Lanes>(
     v: &[f64],
     lanes: L,
     p: &PairSlots,
-    val: &PVal,
+    val: &PerPoint<f64>,
     cap: Option<(&[f64], f64)>,
     cur: &mut [f64],
 ) {
@@ -982,18 +924,18 @@ fn pair_plane<L: Lanes>(
     let va = &v[p.a * np..p.a * np + np];
     let vb = &v[p.b * np..p.b * np + np];
     match (val, cap) {
-        (PVal::Shared(g), None) => {
+        (PerPoint::Shared(g), None) => {
             let g = *g;
             for k in 0..np {
                 cur[k] = (va[k] - vb[k]) * g;
             }
         }
-        (PVal::Per(gs), None) => {
+        (PerPoint::Per(gs), None) => {
             for k in 0..np {
                 cur[k] = (va[k] - vb[k]) * gs[k];
             }
         }
-        (PVal::Shared(c), Some((prev, dt))) => {
+        (PerPoint::Shared(c), Some((prev, dt))) => {
             let g = *c / dt;
             let pa = &prev[p.a * np..p.a * np + np];
             let pb = &prev[p.b * np..p.b * np + np];
@@ -1001,7 +943,7 @@ fn pair_plane<L: Lanes>(
                 cur[k] = g * ((va[k] - vb[k]) - (pa[k] - pb[k]));
             }
         }
-        (PVal::Per(cs), Some((prev, dt))) => {
+        (PerPoint::Per(cs), Some((prev, dt))) => {
             let pa = &prev[p.a * np..p.a * np + np];
             let pb = &prev[p.b * np..p.b * np + np];
             for k in 0..np {
@@ -1020,54 +962,6 @@ fn pair_plane<L: Lanes>(
         for (x, &i) in row.iter_mut().zip(cur.iter()) {
             *x -= i;
         }
-    }
-}
-
-/// Assembles the *shared* Jacobian of a uniform linear batch (scalar,
-/// value-independent of `v`): conductances, capacitor companions and
-/// the gmin diagonal, in the scalar assembly order. Only legal
-/// when every stamp value is `PVal::Shared`.
-fn assemble_shared_jac(
-    stamps: &[BStamp],
-    gmin_rows: &[(usize, usize, usize)],
-    dt: Option<f64>,
-    gmin: f64,
-    jac: &mut [f64],
-) {
-    jac.fill(0.0);
-    let add4 = |j: &mut [f64], p: &PairSlots, g: f64| {
-        if p.jaa != ABSENT {
-            j[p.jaa] += g;
-        }
-        if p.jab != ABSENT {
-            j[p.jab] -= g;
-        }
-        if p.jba != ABSENT {
-            j[p.jba] -= g;
-        }
-        if p.jbb != ABSENT {
-            j[p.jbb] += g;
-        }
-    };
-    for stamp in stamps {
-        match stamp {
-            BStamp::Cond { p, g } => match g {
-                PVal::Shared(g) => add4(jac, p, *g),
-                PVal::Per(_) => unreachable!("shared LU requires a uniform batch"),
-            },
-            BStamp::Cap { p, farads } => {
-                if let Some(dt) = dt {
-                    match farads {
-                        PVal::Shared(c) => add4(jac, p, *c / dt),
-                        PVal::Per(_) => unreachable!("shared LU requires a uniform batch"),
-                    }
-                }
-            }
-            BStamp::Mos { .. } => unreachable!("shared LU requires a linear plan"),
-        }
-    }
-    for &(_, _, diag) in gmin_rows {
-        jac[diag] += gmin;
     }
 }
 
@@ -1299,57 +1193,12 @@ impl<L: Lanes> Batch<'_, L> {
         } else {
             None
         };
-        let bank = match hit {
-            Some(i) => {
-                self.ws[0].mru = i;
-                self.stats.factorization_reuses += n_run;
-                for p in 0..np {
-                    if self.run[p] {
-                        self.pstats[p].factorization_reuses += 1;
-                    }
-                }
-                i
-            }
-            None => {
-                let b = self.ws[0].evict_target(dt_key, gmin_key);
-                assemble_shared_jac(
-                    &self.stamps,
-                    &self.plan.gmin_rows,
-                    s.dt,
-                    s.gmin,
-                    &mut self.ws[0].banks[b].a,
-                );
-                self.stats.jacobian_builds += 1;
-                let bk = &mut self.ws[0].banks[b];
-                if !factorize(&mut bk.a, &mut bk.piv, nu) {
-                    bk.valid = false;
-                    // The matrix is shared: every running point fails
-                    // exactly as its own solve would on the same
-                    // singular Jacobian (its residual was assembled
-                    // with that Jacobian).
-                    self.stats.residual_builds += n_run;
-                    for p in 0..np {
-                        if self.run[p] {
-                            self.run[p] = false;
-                            self.track[p].singular = true;
-                        }
-                    }
-                    return;
-                }
-                self.stats.factorizations += 1;
-                if self.batched {
-                    self.stats.batched_factorizations += 1;
-                }
-                bk.valid = true;
-                bk.dt = dt_key;
-                bk.gmin = gmin_key;
-                self.ws[0].mru = b;
-                b
-            }
-        };
-        for p in 0..np {
-            self.track[p].stale = hit.is_some();
-        }
+        let bank = hit.unwrap_or_else(|| self.ws[0].evict_target(dt_key, gmin_key));
+        // On a miss, lane 0 assembles the one shared Jacobian: every
+        // stamp value is shared, so its matrix is every point's.
+        self.miss.fill(false);
+        self.miss[0] = hit.is_none();
+        self.bank_of[0] = bank;
         let prev_plane = s.dt.map(|dt| (&self.prev[..], dt));
         assemble_plane(
             &self.stamps,
@@ -1360,10 +1209,48 @@ impl<L: Lanes> Batch<'_, L> {
             s.gmin,
             &self.run,
             &mut self.res,
-            None,
+            hit.is_none()
+                .then(|| JacTargets::new(&mut self.ws, &self.miss, &self.bank_of))
+                .as_mut(),
             &mut self.cur,
         );
         self.stats.residual_builds += n_run;
+        if hit.is_some() {
+            self.ws[0].mru = bank;
+            self.stats.factorization_reuses += n_run;
+            for p in 0..np {
+                if self.run[p] {
+                    self.pstats[p].factorization_reuses += 1;
+                }
+            }
+        } else {
+            self.stats.jacobian_builds += 1;
+            let bk = &mut self.ws[0].banks[bank];
+            if !factorize(&mut bk.a, &mut bk.piv, nu) {
+                bk.valid = false;
+                // The matrix is shared: every running point fails
+                // exactly as its own solve would on the same singular
+                // Jacobian.
+                for p in 0..np {
+                    if self.run[p] {
+                        self.run[p] = false;
+                        self.track[p].singular = true;
+                    }
+                }
+                return;
+            }
+            self.stats.factorizations += 1;
+            if self.batched {
+                self.stats.batched_factorizations += 1;
+            }
+            bk.valid = true;
+            bk.dt = dt_key;
+            bk.gmin = gmin_key;
+            self.ws[0].mru = bank;
+        }
+        for p in 0..np {
+            self.track[p].stale = hit.is_some();
+        }
         for x in self.res.iter_mut() {
             *x = -*x;
         }
@@ -1678,7 +1565,7 @@ impl<L: Lanes> Batch<'_, L> {
         let mut conv = [false];
         let mut out = Vec::with_capacity(values.len());
         for (i, &x) in values.iter().enumerate() {
-            self.srcs[source_index].1 = PStim::Shared(Stimulus::Dc(x));
+            self.srcs[source_index].1 = PerPoint::Shared(Stimulus::Dc(x));
             let continued = i > 0 && {
                 self.apply_sources_cols(0.0, &one);
                 self.newton(&one, &Solve::dc(0.0, 1e-12), &mut conv);
