@@ -34,11 +34,10 @@
 //!
 //! # Determinism contract
 //!
-//! A one-point batch reproduces the historical sequential solver bit
-//! for bit, counters included: fixed-step runs and DC match the
-//! [`reference`](super::reference) oracle, and the adaptive path keeps
-//! the sequential controller's exact decisions (pinned by
-//! `tests/analog_golden.rs`). Fixed-step multi-point results are
+//! A one-point batch is deterministic to the bit, counters included:
+//! fixed-step runs and DC match the [`reference`](super::reference)
+//! oracle, and `tests/analog_golden.rs` pins the adaptive path, the
+//! recovery ladder and seeded DC. Fixed-step multi-point results are
 //! **bit-identical per point** to a one-point solve of that point's
 //! circuit ([`PointOverride::circuit_for_point`]) for every batch size
 //! and composition: each point's scalar operation sequence — stamp

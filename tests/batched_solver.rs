@@ -1,9 +1,9 @@
 //! Contract of the batched multi-point lockstep solver (DESIGN.md §16):
 //! on random circuits and batch compositions, `run_transient_batched`
-//! in `Fixed` mode must be **bit-identical per point** to a sequential
+//! in `Fixed` mode must be **bit-identical per point** to a one-point
 //! solve of that point's materialized circuit — including batches where
-//! some points retire into the sequential recovery ladder — and in
-//! `Adaptive` mode must track the sequential adaptive run within a
+//! some points retire into the one-point recovery ladder — and in
+//! `Adaptive` mode must track the one-point adaptive run within a
 //! small multiple of `lte_tol`. The batched `dc_sweep_with_threads` must
 //! return the same output at every thread count.
 
@@ -94,7 +94,7 @@ fn chain_points(base: &Circuit, load_index: usize, out: Node, np: usize) -> Vec<
         .collect()
 }
 
-/// Asserts every batched point's waveforms match a sequential
+/// Asserts every batched point's waveforms match a one-point
 /// `run_transient` of the materialized circuit bit for bit at `nodes`.
 fn assert_batched_bit_identical(
     base: &Circuit,
@@ -135,8 +135,8 @@ fn assert_batched_bit_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Shared-LU path: uniform linear batches are bit-identical to the
-    /// sequential solver at every batch size.
+    /// Shared-LU path: uniform linear batches are bit-identical to
+    /// one-point solves at every batch size.
     #[test]
     fn fixed_batched_rc_bit_identical(
         r in 100.0f64..10_000.0,
@@ -151,7 +151,7 @@ proptest! {
     }
 
     /// Per-point-LU path: element-overridden nonlinear batches are
-    /// bit-identical to the sequential solver at every batch size.
+    /// bit-identical to one-point solves at every batch size.
     #[test]
     fn fixed_batched_chain_bit_identical(
         mask in any::<u8>(),
