@@ -773,13 +773,13 @@ impl<'w> JacTargets<'w> {
     }
 }
 
-/// Plane residual/Jacobian assembly: the batched counterpart of
-/// `StampPlan::assemble`. Residuals are written for every column (dead
-/// columns hold garbage that is never read); MOS evaluation — the
-/// expensive part — is skipped for non-`run` points. When `jacs` is
-/// given, every miss point's bank receives its Jacobian (the per-point
-/// LU path). The per-point `+=` order is the historical scalar
-/// assembler's exactly.
+/// Plane residual/Jacobian assembly over the compiled stamps.
+/// Residuals are written for every column (dead columns hold garbage
+/// that is never read); MOS evaluation — the expensive part — is
+/// skipped for non-`run` points. When `jacs` is given, every miss
+/// point's bank receives its Jacobian. The per-point `+=` order is the
+/// `reference` assembler's exactly, which fixed-step bit-identity rides
+/// on.
 #[allow(clippy::too_many_arguments)]
 fn assemble_plane<L: Lanes>(
     stamps: &[BStamp],
@@ -1064,10 +1064,9 @@ fn emit_plane<L: Lanes>(
             if !mask[p] {
                 continue;
             }
-            for (node, buf) in pb.iter_mut().enumerate() {
-                let a = va[node * np + p];
-                let b = vb[node * np + p];
-                buf.push(a + alpha * (b - a));
+            let rows = va.chunks_exact(np).zip(vb.chunks_exact(np));
+            for (buf, (ra, rb)) in pb.iter_mut().zip(rows) {
+                buf.push(ra[p] + alpha * (rb[p] - ra[p]));
             }
         }
         *next_out += 1;
