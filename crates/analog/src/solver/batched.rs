@@ -293,7 +293,8 @@ struct Solve {
 }
 
 impl Solve {
-    /// The direct DC attempt at time `t` and the given `gmin`.
+    /// A DC solve at time `t` and `gmin`: a direct attempt or one rung
+    /// of a gmin ladder.
     fn dc(t: f64, gmin: f64) -> Self {
         Self {
             dt: None,
@@ -353,10 +354,9 @@ struct Track {
 type Outcome = Option<Result<Vec<Waveform>, SolverError>>;
 
 /// The engine's working state for `L` points: SoA planes over
-/// `[n_nodes × n_points]`
-/// (point-fastest), the widened stamp list, either one shared
-/// [`Workspace`] (uniform linear batches) or one per point, and the
-/// per-point Newton state.
+/// `[n_nodes × n_points]` (point-fastest), the widened stamp list,
+/// either one shared [`Workspace`] (uniform linear batches) or one per
+/// point, and the per-point Newton state.
 struct Batch<'a, L: Lanes> {
     plan: &'a StampPlan,
     circuit: &'a Circuit,
