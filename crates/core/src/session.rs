@@ -2,13 +2,11 @@
 //! transients, the RTL→layout flow, design lint and the Monte-Carlo
 //! sweeps, all behind a single consuming-builder [`Session`].
 //!
-//! Prior to the session API each subsystem had its own spelling
-//! (`SerdesLink::run_frames`, `run_flow`, the `lint`/`bathtub`/…
-//! free functions). Those entry points still exist as deprecated shims;
-//! a `Session` reproduces their outputs exactly — it threads the same
-//! configs into the same engines — while adding what the scattered
-//! spellings could not: one place to set the operating point
-//! (rate/corner/seed) for every run, and built-in telemetry capture.
+//! A `Session` threads its configs into the same engines the builders
+//! run ([`link::run_frames`], [`Flow::run`], [`Sweep`], [`Sta::run`],
+//! [`Design::lint`]), so its outputs equal theirs exactly. What it adds
+//! is one place to set the operating point (rate/corner/seed) for every
+//! run, and built-in telemetry capture.
 //!
 //! ```
 //! use openserdes_core::session::Session;
@@ -587,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_link_engine() {
+    fn session_matches_direct_engine_runs() {
         let stim = frames(3);
         let direct = link::run_frames(&LinkConfig::paper_default(), &stim, 7).expect("direct");
         let via = Session::new()
@@ -596,6 +594,56 @@ mod tests {
             .expect("session");
         assert_eq!(via, direct);
         assert_eq!(via.bit_errors, direct.bit_errors);
+
+        // The flow: the same stage log and bit-identical area, fmax and
+        // power as the builder run.
+        let mut cfg = FlowConfig::at_clock(Hertz::from_ghz(1.0));
+        cfg.anneal_iterations = 1_000;
+        let design = crate::cdr::cdr_design(5);
+        let direct = Flow::new()
+            .with_config(cfg.clone())
+            .run(&design)
+            .expect("direct flow");
+        let via = Session::new()
+            .with_flow_config(cfg)
+            .run_flow(&design)
+            .expect("session flow");
+        assert_eq!(via.log, direct.log, "stage logs must match line for line");
+        assert_eq!(
+            via.area().value().to_bits(),
+            direct.area().value().to_bits()
+        );
+        assert_eq!(
+            via.timing.fmax.value().to_bits(),
+            direct.timing.fmax.value().to_bits()
+        );
+        assert_eq!(
+            via.total_power().value().to_bits(),
+            direct.total_power().value().to_bits()
+        );
+
+        // The sweeps: the session's options and seed reach the builder.
+        let cfg = LinkConfig::paper_default();
+        let sweep = Sweep::new()
+            .with_bits(2_000)
+            .with_phases(8)
+            .with_frames(4)
+            .with_tolerance_db(1.0);
+        let mut s = Session::new().with_sweep(sweep).with_seed(5);
+        let direct = sweep.with_seed(5);
+        assert_eq!(
+            s.bathtub().expect("session"),
+            direct.bathtub(&cfg).expect("direct")
+        );
+        assert_eq!(
+            s.max_loss().expect("session").to_bits(),
+            direct.max_loss(&cfg).expect("direct").to_bits()
+        );
+        let rates = [Hertz::from_ghz(1.0), Hertz::from_ghz(2.0)];
+        assert_eq!(
+            s.sensitivity_sweep(&rates).expect("session"),
+            direct.sensitivity(Pvt::nominal(), &rates).expect("direct")
+        );
     }
 
     #[test]
@@ -739,11 +787,24 @@ mod tests {
 
     #[test]
     fn session_lint_matches_inherent() {
+        // Findings from three rules: an unconnected register, a dead
+        // node and an unused input.
         let mut d = Design::new("t");
         let a = d.input("a");
-        d.output("y", a);
+        let b = d.input("b");
+        let _unused = d.input("nc");
+        let y = d.and(a, b);
+        let _dead = d.xor(a, b);
+        let q = d.reg();
+        d.output("y", y);
+        d.output("q", q);
         let direct = d.lint(&LintConfig::default());
         let via = Session::new().lint(&d);
+        assert!(direct.findings().len() >= 3);
         assert_eq!(via.findings().len(), direct.findings().len());
+        for (a, b) in via.findings().iter().zip(direct.findings()) {
+            assert_eq!(a.rule, b.rule);
+            assert_eq!(a.message, b.message);
+        }
     }
 }

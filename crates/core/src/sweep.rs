@@ -12,14 +12,13 @@
 //!
 //! Agreement between the two validates the behavioural model.
 
-use crate::ber::BerTest;
 use crate::bitstream::BitVec;
 use crate::cdr::{box_muller, gauss_reach, REACH_SLACK_UI};
 use crate::error::{Error, FaultInfo, LinkError};
 use crate::link::LinkConfig;
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Volt};
-use openserdes_phy::{ChannelModel, FrontEndConfig, RxFrontEnd};
+use openserdes_phy::{FrontEndConfig, RxFrontEnd};
 use openserdes_telemetry as telemetry;
 
 pub mod parallel;
@@ -35,88 +34,6 @@ pub struct SweepPoint {
     pub max_loss_db: f64,
 }
 
-/// Sensitivity and maximum loss across data rates, from the front-end
-/// model (fast; regenerates Fig. 9's two curves).
-///
-/// # Errors
-///
-/// Propagates solver failures from the characterization.
-#[deprecated(note = "use `Sweep::new().sensitivity(..)` (openserdes_core::Sweep)")]
-pub fn sensitivity_sweep(pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-    sensitivity_impl(pvt, rates)
-}
-
-pub(crate) fn sensitivity_impl(pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-    let _span = telemetry::span("sweep.sensitivity");
-    let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
-    let tx_swing = pvt.vdd;
-    rates
-        .iter()
-        .map(|&rate| {
-            telemetry::counter("sweep.rate_points", 1);
-            let sensitivity = fe.sensitivity(rate)?;
-            let max_loss_db = fe.max_loss_db(rate, tx_swing)?;
-            Ok(SweepPoint {
-                data_rate: rate,
-                sensitivity,
-                max_loss_db,
-            })
-        })
-        .collect()
-}
-
-/// Bisects the maximum channel attenuation (dB) at which a PRBS link run
-/// of `frames` frames is still error-free, to within `tol_db`.
-///
-/// # Errors
-///
-/// Propagates link failures.
-#[deprecated(note = "use `Sweep::new().max_loss(..)` (openserdes_core::Sweep)")]
-pub fn max_loss_bisect(base: &LinkConfig, frames: usize, tol_db: f64) -> Result<f64, LinkError> {
-    max_loss_impl(base, frames, tol_db)
-}
-
-pub(crate) fn max_loss_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-) -> Result<f64, LinkError> {
-    let _span = telemetry::span("sweep.max_loss_bisect");
-    let mut lo = 0.0f64; // known good
-    let mut hi = 60.0f64; // known bad
-    let error_free = |db: f64| -> Result<bool, LinkError> {
-        telemetry::counter("sweep.bisect_probes", 1);
-        let mut cfg = base.clone();
-        cfg.channel = ChannelModel {
-            attenuation_db: db,
-            ..base.channel.clone()
-        };
-        BerTest::prbs31(cfg, frames).is_error_free()
-    };
-    // Establish brackets (the interface may already fail at 0 dB for
-    // absurd rates — report 0 in that case).
-    if !error_free(lo)? {
-        return Ok(0.0);
-    }
-    if error_free(hi)? {
-        return Ok(hi);
-    }
-    while hi - lo > tol_db {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            // Adjacent floats: the bracket cannot shrink any further
-            // (a tolerance at or below one ulp would loop forever).
-            break;
-        }
-        if error_free(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
-}
-
 /// One point of a BER bathtub curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BathtubPoint {
@@ -124,42 +41,6 @@ pub struct BathtubPoint {
     pub phase_ui: f64,
     /// Measured bit-error ratio at that phase.
     pub ber: f64,
-}
-
-/// Monte-Carlo BER bathtub: sweeps the sampling phase across the unit
-/// interval at the given operating point and measures the BER at each
-/// phase over `nbits` PRBS bits — the classic serial-link margin plot
-/// (high BER walls at the bit edges, a floor at the centre).
-///
-/// The per-bit model matches the fast link path: transition edges carry
-/// the channel's RJ (Gaussian) and DJ (sinusoidal) jitter; sampling on
-/// the wrong side of a jittered edge misreads the bit; amplitude noise
-/// adds `Q(margin/σ)` flips everywhere.
-///
-/// # Errors
-///
-/// Propagates solver failures from the front-end characterization.
-#[deprecated(note = "use `Sweep::new().bathtub(..)` (openserdes_core::Sweep)")]
-pub fn bathtub(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-) -> Result<Vec<BathtubPoint>, LinkError> {
-    bathtub_impl(config, nbits, phases, seed)
-}
-
-pub(crate) fn bathtub_impl(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-) -> Result<Vec<BathtubPoint>, LinkError> {
-    let _span = telemetry::span("sweep.bathtub");
-    let (bits, model) = bathtub_setup(config, nbits)?;
-    Ok((0..phases)
-        .map(|k| bathtub_point(&bits, &model, k, phases, seed))
-        .collect())
 }
 
 /// The per-UI statistics one bathtub needs, extracted once so each phase
@@ -429,7 +310,9 @@ impl Sweep {
         self
     }
 
-    /// Bisection tolerance in dB.
+    /// Bisection tolerance in dB. Zero or a negative value bisects to
+    /// the last ulp (the bracket ends as two adjacent floats); NaN is
+    /// refused by the loss bisections.
     #[must_use]
     pub fn with_tolerance_db(mut self, tol_db: f64) -> Self {
         self.tol_db = tol_db;
@@ -480,8 +363,17 @@ impl Sweep {
         self.tol_db
     }
 
-    /// BER bathtub at the operating point, one [`BathtubPoint`] per
-    /// configured phase.
+    /// Monte-Carlo BER bathtub at the operating point: sweeps the
+    /// sampling phase across the unit interval and measures the BER at
+    /// each of the configured phases over the configured PRBS bits,
+    /// one [`BathtubPoint`] per phase. This is the classic serial-link
+    /// margin plot: high BER walls at the bit edges, a floor at the
+    /// centre.
+    ///
+    /// The per-bit model matches the fast link path. Transition edges
+    /// carry the channel's RJ (Gaussian) and DJ (sinusoidal) jitter;
+    /// sampling on the wrong side of a jittered edge misreads the bit;
+    /// amplitude noise adds `Q(margin/σ)` flips everywhere.
     ///
     /// # Errors
     ///
@@ -493,13 +385,19 @@ impl Sweep {
     }
 
     /// Maximum error-free channel attenuation (dB) at the configured
-    /// operating point.
+    /// operating point: bisects the attenuation over `[0, 60]` dB, to
+    /// within the configured tolerance, for the boundary at which a
+    /// PRBS link run of the configured frames is still error-free. A
+    /// link that already fails at 0 dB reports 0; one that survives
+    /// 60 dB reports 60.
     ///
     /// # Errors
     ///
-    /// Propagates link failures from the probes the bisection uses.
+    /// [`LinkError::InvalidInput`] (field `tol_db`) for a NaN tolerance;
+    /// otherwise propagates link failures from the probes the bisection
+    /// uses.
     pub fn max_loss(&self, config: &LinkConfig) -> Result<f64, LinkError> {
-        parallel::max_loss_par_impl(config, self.frames, self.tol_db, self.threads)
+        parallel::max_loss_bisection(config, self.frames, self.tol_db, self.threads)
     }
 
     /// Maximum channel loss at each data rate (Fig. 9's measured curve).
@@ -510,7 +408,8 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Propagates the first link failure in rate order.
+    /// Propagates the first link failure in rate order (a NaN tolerance
+    /// fails every point as in [`Sweep::max_loss`]).
     pub fn rate_sweep(
         &self,
         config: &LinkConfig,
@@ -528,7 +427,8 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Propagates the first link failure in corner order.
+    /// Propagates the first link failure in corner order (a NaN
+    /// tolerance fails every corner as in [`Sweep::max_loss`]).
     pub fn corner_sweep(
         &self,
         config: &LinkConfig,
@@ -536,14 +436,31 @@ impl Sweep {
         parallel::corner_sweep_impl(config, self.frames, self.tol_db, self.threads)
     }
 
-    /// Model-route sensitivity sweep across `rates` (the fast half of
-    /// Fig. 9; no Monte-Carlo options apply).
+    /// Model-route sweep across `rates`: the front end's sensitivity and
+    /// maximum loss at each rate from its small-signal model (fast; the
+    /// model half of Fig. 9's two curves; no Monte-Carlo options
+    /// apply).
     ///
     /// # Errors
     ///
     /// Propagates solver failures from the characterization.
     pub fn sensitivity(&self, pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-        sensitivity_impl(pvt, rates)
+        let _span = telemetry::span("sweep.sensitivity");
+        let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
+        let tx_swing = pvt.vdd;
+        rates
+            .iter()
+            .map(|&rate| {
+                telemetry::counter("sweep.rate_points", 1);
+                let sensitivity = fe.sensitivity(rate)?;
+                let max_loss_db = fe.max_loss_db(rate, tx_swing)?;
+                Ok(SweepPoint {
+                    data_rate: rate,
+                    sensitivity,
+                    max_loss_db,
+                })
+            })
+            .collect()
     }
 
     // ---- fault-isolated runs ----------------------------------------
@@ -615,12 +532,20 @@ mod tests {
 
     #[test]
     fn loss_bisection_at_zero_or_negative_tolerance_terminates() {
-        // Rate and corner sweeps bisect through this loop; a tolerance
-        // at or below one ulp used to stall it on adjacent floats.
+        // Rate and corner sweeps bisect each point on one worker; a
+        // tolerance at or below one ulp used to stall the loop on
+        // adjacent floats.
         let cfg = LinkConfig::paper_default();
-        let coarse = max_loss_impl(&cfg, 1, 1.0).expect("bisects");
+        let sweep = Sweep::new().with_frames(1).with_threads(1);
+        let coarse = sweep
+            .with_tolerance_db(1.0)
+            .max_loss(&cfg)
+            .expect("bisects");
         for tol in [0.0, -1.0] {
-            let exact = max_loss_impl(&cfg, 1, tol).expect("bisects");
+            let exact = sweep
+                .with_tolerance_db(tol)
+                .max_loss(&cfg)
+                .expect("bisects");
             assert!(
                 (coarse..=coarse + 1.0).contains(&exact),
                 "tol={tol}: {exact}"
@@ -844,6 +769,7 @@ mod tests {
     #[test]
     fn bathtub_fast_paths_match_exact_loop_to_bits() {
         use openserdes_pdk::units::Time;
+        use openserdes_phy::ChannelModel;
         let at = |ghz: f64, channel: ChannelModel| {
             let mut cfg = LinkConfig::paper_default();
             cfg.data_rate = Hertz::from_ghz(ghz);

@@ -1,21 +1,20 @@
-//! Parallel sweep engine.
+//! Parallel sweep engine behind the [`Sweep`](super::Sweep) methods.
 //!
 //! Monte-Carlo sweeps — bathtub phases, bisection probes, data-rate
 //! points, PVT corners — are embarrassingly parallel *if* every work
 //! item owns its randomness. The engine here guarantees that:
 //!
 //! * every item derives its own RNG stream from the caller's seed and
-//!   the item index alone ([`derive_seed`], the same derivation the
-//!   sequential code uses), and
+//!   the item index alone ([`derive_seed`]), and
 //! * results come back in input order, regardless of which worker
 //!   finished first.
 //!
-//! Consequently each `*_parallel` function is **bit-identical** to its
-//! sequential counterpart for the same seed — parallelism changes wall
-//! time, never results. [`max_loss_bisect_parallel`] keeps that promise
-//! for an inherently sequential loop by *speculating*: it evaluates the
-//! whole midpoint tree the bisection could visit next and then walks it,
-//! so the bracket sequence is exactly the sequential one.
+//! Consequently every sweep is **bit-identical** at any worker count
+//! for the same seed — parallelism changes wall time, never results.
+//! The loss bisection keeps that promise for an inherently sequential
+//! loop by *speculating* ([`bisect_speculative`]): it evaluates the
+//! whole midpoint tree the bisection could visit next and then walks
+//! it, so the bracket sequence is exactly the one-worker one.
 //!
 //! Built on `std::thread::scope` — no runtime dependency.
 //!
@@ -36,32 +35,16 @@ use openserdes_pdk::units::Hertz;
 use openserdes_phy::ChannelModel;
 use openserdes_telemetry as telemetry;
 
-/// Derives work item `k`'s RNG seed from the run seed. This is the
-/// contract the sequential sweeps already use (a Weyl-style odd
-/// multiplier decorrelates neighbouring indices); parallel fan-out keeps
-/// it so each item's random stream is identical either way.
+/// Derives work item `k`'s RNG seed from the run seed. A Weyl-style odd
+/// multiplier decorrelates neighbouring indices, and the stream depends
+/// on the item index alone, so each item's random stream is identical
+/// at any worker count.
 pub fn derive_seed(seed: u64, k: usize) -> u64 {
     seed ^ (k as u64).wrapping_mul(0x9E37_79B9)
 }
 
-/// Parallel [`super::bathtub`]: fans the phase points across workers.
-/// Seed-identical to the sequential curve — each phase's RNG is derived
-/// from `(seed, phase index)` in both.
-///
-/// # Errors
-///
-/// Propagates solver failures from the front-end characterization.
-#[deprecated(note = "use `Sweep::new().with_threads(..).bathtub(..)` (openserdes_core::Sweep)")]
-pub fn bathtub_parallel(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<super::BathtubPoint>, LinkError> {
-    bathtub_par_impl(config, nbits, phases, seed, threads)
-}
-
+/// The bathtub phase points fanned across workers; each phase's RNG is
+/// derived from `(seed, phase index)`.
 pub(crate) fn bathtub_par_impl(
     config: &LinkConfig,
     nbits: usize,
@@ -102,31 +85,23 @@ pub(crate) fn try_bathtub_par_impl(
     ))
 }
 
-/// Parallel [`super::max_loss_bisect`], bit-identical to the sequential
-/// bisection for any thread count. Runs on the shared
-/// [`bisect_speculative`] engine: the next levels of the bisection's
-/// midpoint tree are probed concurrently, then walked, so the bracket
-/// sequence is exactly the sequential one.
-///
-/// # Errors
-///
-/// Propagates link failures from the probes the bisection actually uses.
-#[deprecated(note = "use `Sweep::new().with_threads(..).max_loss(..)` (openserdes_core::Sweep)")]
-pub fn max_loss_bisect_parallel(
+/// The one loss bisection: the maximum error-free attenuation over
+/// `[0, 60]` dB, on the shared [`bisect_speculative`] engine. The next
+/// levels of the midpoint tree are probed on `threads` workers, then
+/// walked, so the bracket sequence is the one-worker one for any
+/// thread count. A NaN `tol_db` is refused here, before any probe.
+pub(crate) fn max_loss_bisection(
     base: &LinkConfig,
     frames: usize,
     tol_db: f64,
     threads: usize,
 ) -> Result<f64, LinkError> {
-    max_loss_par_impl(base, frames, tol_db, threads)
-}
-
-pub(crate) fn max_loss_par_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<f64, LinkError> {
+    if tol_db.is_nan() {
+        return Err(LinkError::InvalidInput {
+            field: "tol_db",
+            reason: "NaN dB is not a bisection tolerance".to_string(),
+        });
+    }
     let _span = telemetry::span("sweep.max_loss_bisect");
     let error_free = |db: f64| -> Result<bool, LinkError> {
         telemetry::counter("sweep.bisect_probes", 1);
@@ -149,23 +124,8 @@ pub(crate) fn max_loss_par_impl(
 }
 
 /// Maximum channel loss at each data rate, the points fanned across
-/// workers. Order follows `rates`; each point runs the *sequential*
-/// bisection, so results equal a serial loop over [`super::max_loss_bisect`].
-///
-/// # Errors
-///
-/// Propagates the first link failure in rate order.
-#[deprecated(note = "use `Sweep::new().with_threads(..).rate_sweep(..)` (openserdes_core::Sweep)")]
-pub fn rate_sweep_parallel(
-    base: &LinkConfig,
-    rates: &[Hertz],
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, LinkError> {
-    rate_sweep_impl(base, rates, frames, tol_db, threads)
-}
-
+/// workers in `rates` order. Each point bisects on one worker, so it
+/// equals [`Sweep::max_loss`](super::Sweep::max_loss) at that rate.
 pub(crate) fn rate_sweep_impl(
     base: &LinkConfig,
     rates: &[Hertz],
@@ -184,7 +144,7 @@ pub(crate) fn rate_sweep_impl(
         telemetry::counter("sweep.rate_points", 1);
         let mut cfg = base.clone();
         cfg.data_rate = rate;
-        let max_loss_db = super::max_loss_impl(&cfg, frames, tol_db)?;
+        let max_loss_db = max_loss_bisection(&cfg, frames, tol_db, 1)?;
         Ok(SweepPoint {
             data_rate: rate,
             sensitivity: fe.sensitivity_with(&ss, rate),
@@ -216,7 +176,7 @@ pub(crate) fn try_rate_sweep_impl(
         telemetry::counter("sweep.rate_points", 1);
         let mut cfg = base.clone();
         cfg.data_rate = rate;
-        let max_loss_db = super::max_loss_impl(&cfg, frames, tol_db)?;
+        let max_loss_db = max_loss_bisection(&cfg, frames, tol_db, 1)?;
         let sensitivity = match &ss {
             Some(ss) => fe.sensitivity_with(ss, rate),
             None => fe.sensitivity(rate)?,
@@ -273,22 +233,6 @@ fn corner_sensitivities(
 
 /// Maximum channel loss at the three classic PVT corners (tt/ss/ff),
 /// fanned across workers, in `[nominal, worst_case, best_case]` order.
-///
-/// # Errors
-///
-/// Propagates the first link failure in corner order.
-#[deprecated(
-    note = "use `Sweep::new().with_threads(..).corner_sweep(..)` (openserdes_core::Sweep)"
-)]
-pub fn corner_sweep_parallel(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<CornerPoint>, LinkError> {
-    corner_sweep_impl(base, frames, tol_db, threads)
-}
-
 pub(crate) fn corner_sweep_impl(
     base: &LinkConfig,
     frames: usize,
@@ -313,7 +257,7 @@ pub(crate) fn corner_sweep_impl(
         };
         Ok(CornerPoint {
             pvt,
-            max_loss_db: super::max_loss_impl(&cfg, frames, tol_db)?,
+            max_loss_db: max_loss_bisection(&cfg, frames, tol_db, 1)?,
             sensitivity,
         })
     });
@@ -347,7 +291,7 @@ pub(crate) fn try_corner_sweep_impl(
         };
         Ok::<_, LinkError>(CornerPoint {
             pvt,
-            max_loss_db: super::max_loss_impl(&cfg, frames, tol_db)?,
+            max_loss_db: max_loss_bisection(&cfg, frames, tol_db, 1)?,
             sensitivity,
         })
     });
@@ -357,7 +301,7 @@ pub(crate) fn try_corner_sweep_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{bathtub_impl, max_loss_impl, Sweep};
+    use crate::sweep::Sweep;
 
     #[test]
     fn map_preserves_input_order() {
@@ -386,15 +330,10 @@ mod tests {
     #[test]
     fn parallel_bathtub_is_seed_identical() {
         let cfg = LinkConfig::paper_default();
-        let seq = bathtub_impl(&cfg, 4_000, 12, 9).expect("sequential");
-        for threads in [1, 2, 4] {
-            let par = Sweep::new()
-                .with_bits(4_000)
-                .with_phases(12)
-                .with_seed(9)
-                .with_threads(threads)
-                .bathtub(&cfg)
-                .expect("parallel");
+        let sweep = Sweep::new().with_bits(4_000).with_phases(12).with_seed(9);
+        let seq = sweep.with_threads(1).bathtub(&cfg).expect("one worker");
+        for threads in [2, 4, 8] {
+            let par = sweep.with_threads(threads).bathtub(&cfg).expect("parallel");
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -402,11 +341,10 @@ mod tests {
     #[test]
     fn parallel_bisect_is_seed_identical() {
         let base = LinkConfig::paper_default();
-        let seq = max_loss_impl(&base, 4, 1.0).expect("sequential");
-        for threads in [1, 3, 4] {
-            let par = Sweep::new()
-                .with_frames(4)
-                .with_tolerance_db(1.0)
+        let sweep = Sweep::new().with_frames(4).with_tolerance_db(1.0);
+        let seq = sweep.with_threads(1).max_loss(&base).expect("one worker");
+        for threads in [2, 4, 8] {
+            let par = sweep
                 .with_threads(threads)
                 .max_loss(&base)
                 .expect("parallel");
@@ -464,7 +402,7 @@ mod tests {
         for (pt, &rate) in pts.iter().zip(&rates) {
             let mut cfg = base.clone();
             cfg.data_rate = rate;
-            let seq = max_loss_impl(&cfg, 4, 1.0).expect("sequential");
+            let seq = sweep.with_threads(1).max_loss(&cfg).expect("pointwise");
             assert_eq!(pt.data_rate, rate);
             assert_eq!(pt.max_loss_db.to_bits(), seq.to_bits());
         }

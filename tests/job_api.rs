@@ -502,6 +502,59 @@ fn typed_max_loss_with_zero_tolerance_returns() {
     );
 }
 
+/// A NaN tolerance used to end the bisection at once and answer 0 dB.
+/// Every typed loss bisection refuses it by name instead: the builder
+/// methods, their fault-isolated forms (one failure per point) and the
+/// `Session` methods over them.
+#[test]
+fn typed_bisections_refuse_a_nan_tolerance() {
+    let config = LinkConfig::paper_default();
+    let sweep = Sweep::new().with_frames(1).with_tolerance_db(f64::NAN);
+    let rates = [Hertz::from_ghz(1.0), Hertz::from_ghz(2.0)];
+    // `LinkError::InvalidInput` converts to `Error::InvalidInput` with
+    // its field intact, so one match covers both error types.
+    let mut session = Session::new().with_sweep(sweep);
+    let mut errors: Vec<Error> = vec![
+        sweep.max_loss(&config).expect_err("max_loss").into(),
+        sweep
+            .rate_sweep(&config, &rates)
+            .expect_err("rate_sweep")
+            .into(),
+        sweep
+            .corner_sweep(&config)
+            .expect_err("corner_sweep")
+            .into(),
+        session.max_loss().expect_err("max_loss"),
+        session.rate_sweep(&rates).expect_err("rate_sweep"),
+        session.corner_sweep().expect_err("corner_sweep"),
+    ];
+    // The fault-isolated forms fail every point with the same error.
+    for outcome in [
+        sweep.try_rate_sweep(&config, &rates),
+        session.try_rate_sweep(&rates),
+    ] {
+        assert!(outcome.completed.is_empty());
+        errors.extend(outcome.failed.into_iter().map(|(_, e)| e));
+    }
+    for outcome in [sweep.try_corner_sweep(&config), session.try_corner_sweep()] {
+        assert!(outcome.completed.is_empty());
+        errors.extend(outcome.failed.into_iter().map(|(_, e)| e));
+    }
+    assert_eq!(errors.len(), 6 + 2 * rates.len() + 2 * 3);
+    for err in errors {
+        assert!(
+            matches!(
+                err,
+                Error::InvalidInput {
+                    field: "tol_db",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+}
+
 /// A fault-injection job reads its schedule through the fault codec, so
 /// a flip probability that is no probability (`"nan"`, `"inf"`, 1.5) is
 /// refused, exactly as `FaultSchedule::from_json` refuses it.

@@ -552,6 +552,48 @@ fn wildcard_bound_server_returns_after_stop() {
     assert_eq!(stats.completed, 1);
 }
 
+/// A zero bisection tolerance used to pin a worker forever, and with it
+/// the server's shutdown. It now gets an error reply naming the field;
+/// the same connection goes on to complete a job, and `serve()` still
+/// returns after `stop()`.
+#[test]
+fn zero_tolerance_max_loss_is_refused_and_the_server_stops() {
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle();
+    let serving = serve_in_background(server);
+    let mut client = Client::connect(addr, "zero-tol").expect("connect");
+    let stuck = Request::MaxLoss {
+        config: LinkConfig::paper_default(),
+        sweep: SweepSpec {
+            bits: 800,
+            phases: 4,
+            frames: 2,
+            tol_db: 0.0,
+        },
+    };
+    match client.submit(1, 31, &stuck) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("sweep.tol_db"), "{msg}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert!(matches!(
+        client.submit(1, 32, &quick_bathtub(1_000)).expect("served"),
+        Response::Bathtub(_)
+    ));
+    drop(client);
+    handle.stop();
+    let (stats, _) = serving
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve() returns after stop()")
+        .expect("serve returns cleanly");
+    assert_eq!(stats.errored, 1);
+    assert_eq!(stats.completed, 1);
+}
+
 #[test]
 fn drain_budget_closes_an_idle_keep_alive_connection() {
     let drain = Duration::from_millis(200);
