@@ -19,6 +19,11 @@
 //! many probes the workloads hit, and asserts the total stays under 2 %
 //! of the uninstrumented wall time.
 //!
+//! Each record's work counters are also printed as
+//! `counter <workload>.<name> <value>` lines. They are deterministic, so
+//! CI diffs the `--smoke` lines against
+//! `schemas/profile_smoke_counters.txt`.
+//!
 //! Run with `cargo run --release -p openserdes-bench --bin profile`;
 //! pass `--smoke` for the fast CI variant.
 
@@ -157,6 +162,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", analog_record.to_tree_string());
     println!("=== flow: cdr_design(5) ({flow_ms:.1} ms) ===");
     println!("{}", flow_record.to_tree_string());
+
+    // ---- deterministic work counters --------------------------------
+    for (workload, record) in [
+        ("link_loopback", &link_record),
+        ("analog_prbs7", &analog_record),
+        ("flow_cdr", &flow_record),
+    ] {
+        for (name, value) in &record.counters {
+            println!("counter {workload}.{name} {value}");
+        }
+    }
 
     // ---- JSON + Chrome trace ----------------------------------------
     let mut merged = telemetry::Record::new();
